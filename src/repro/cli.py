@@ -466,66 +466,6 @@ def _cmd_zoo(args) -> int:
     return _finish_sweep(args, sweep)
 
 
-def _cmd_perf(args) -> int:
-    """Run the performance benchmark suite and write ``BENCH_perf.json``."""
-    import os
-
-    from repro.analysis.perf import (
-        compare_reports,
-        format_comparison,
-        format_report,
-        run_perf_suite,
-        write_report,
-    )
-
-    def progress(msg: str) -> None:
-        print(f"# bench: {msg}", file=sys.stderr)
-
-    report = run_perf_suite(
-        quick=args.quick,
-        seed=args.seed,
-        progress=progress if args.progress else None,
-    )
-    print(format_report(report))
-    # Compare before writing so the delta rows are embedded in the
-    # written report (BENCH_perf.json then records both the numbers and
-    # what they were measured against).
-    rows = None
-    baseline_path = args.baseline
-    if baseline_path and os.path.exists(baseline_path):
-        import json as _json
-
-        with open(baseline_path, encoding="utf-8") as fh:
-            baseline = _json.load(fh)
-        try:
-            rows = compare_reports(report, baseline)
-        except ValueError as exc:
-            print(f"# baseline comparison skipped: {exc}")
-        else:
-            report["baseline_comparison"] = {
-                "path": baseline_path,
-                "commit": baseline.get("commit"),
-                "rows": rows,
-            }
-    elif baseline_path:
-        print(f"# baseline {baseline_path} not found; skipping comparison")
-    if args.out:
-        write_report(report, args.out)
-        print(f"# wrote {args.out}")
-    if rows is not None:
-        print()
-        print(f"# delta vs {baseline_path} "
-              f"(commit {report['baseline_comparison']['commit'] or '?'})")
-        print(format_comparison(rows))
-        regressions = [r for r in rows if r["regression"]]
-        if regressions:
-            # Non-blocking by design: wall clocks are machine-dependent,
-            # so CI warns instead of failing (see DESIGN.md section 10).
-            print(f"# WARNING: {len(regressions)} metric(s) regressed "
-                  f">10% vs the baseline")
-    return 0
-
-
 def _cmd_lint(args) -> int:
     """Run the repro.lint static analyzer (same engine as repro-lint)."""
     from repro.lint.cli import run_from_args
@@ -687,18 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--metrics-out", default=None,
         help="also collect per-switch metrics and write them as JSONL")
-    perf = add(
-        "perf", _cmd_perf,
-        out=dict(default="BENCH_perf.json",
-                 help="write the machine-readable report here ('' = skip)"),
-        baseline=dict(default=None,
-                      help="compare against this committed BENCH_perf.json "
-                           "(warn, never fail, on >10% regression)"))
-    perf.add_argument("--quick", action="store_true",
-                      help="CI-sized workloads (<1 min; numbers not "
-                           "comparable to full runs)")
-    perf.add_argument("--progress", action="store_true",
-                      help="stream per-section progress to stderr")
     # lint shares its full option surface with the repro-lint console
     # script (see repro.lint.cli) so the two entry points cannot drift.
     from repro.lint.cli import add_lint_arguments

@@ -382,7 +382,7 @@ class BaldurNetwork(NetworkSimulator):
                 packet._tx_ns = tx
         nic[src] = start + tx
         # start >= now and the offsets are non-negative model constants,
-        # so the unvalidated inline heap push (Environment._push,
+        # so the unvalidated inline heap push (Environment.schedule_at,
         # open-coded) is safe here.
         queue = env._queue
         seq = env._seq
@@ -564,8 +564,8 @@ class BaldurNetwork(NetworkSimulator):
         if injector is not None:
             latency += injector.extra_latency_ns(flat, now)
         # Delays below are sums of non-negative model constants, so the
-        # unvalidated inline heap push (Environment._push, open-coded to
-        # save a call per hop) is safe.
+        # unvalidated inline heap push (Environment.schedule_at, open-coded
+        # to save a call per hop) is safe.
         seq = env._seq
         env._seq = seq + 1
         ctx = self._shard_ctx

@@ -55,8 +55,8 @@ HOT_CLOCK_PREFIXES = (
 """Packages in which CLK-001 and DET-001 apply (the simulation core).
 
 Wall-clock reads are allowed only in measurement/driver layers
-(``repro.analysis.perf``, ``repro.runner.engine``, ``repro.obs.profile``,
-the CLI) where they feed reports, never simulation state.
+(``repro.runner.engine``, ``repro.obs.profile``, the CLI) where they feed
+reports, never simulation state.
 """
 
 SLOTS_MODULES = (
@@ -70,15 +70,10 @@ SLOTS_MODULES = (
 """Exact modules (plus the ``repro.netsim`` package) checked by SLOTS-001."""
 
 FAST_PATH_ALLOWLIST = frozenset({
-    # The kernel itself: validated entry points plus the documented
-    # unvalidated internal push.
+    # The kernel itself: the validated entry points.
     ("repro.sim.core", "Environment.schedule"),
     ("repro.sim.core", "Environment.schedule_at"),
     ("repro.sim.core", "Environment.schedule_batch"),
-    ("repro.sim.core", "Environment._push"),
-    ("repro.sim.core", "Environment._schedule_event"),
-    ("repro.sim.core", "Process.__init__"),
-    ("repro.sim.core", "Process._resume"),
     # PR 4's audited open-coded pushes (delays are sums of non-negative
     # model constants; see the inline safety comments at each site).
     ("repro.core.baldur_network", "BaldurNetwork._transmit"),
@@ -95,13 +90,7 @@ _SCHEDULING_ATTRS = frozenset({
     "schedule",
     "schedule_at",
     "schedule_batch",
-    "_push",
-    "_schedule_event",
-    "succeed",
-    "fail",
     "heappush",
-    "process",
-    "timeout",
 })
 """Calls that commit event order (DET-001's notion of 'feeds scheduling')."""
 
@@ -236,8 +225,8 @@ def check_clock(src: SourceFile) -> Iterator[Finding]:
     Simulation time is :attr:`Environment.now`; a wall-clock read in
     simulation code either leaks nondeterminism into results or silently
     measures the host instead of the model.  Measurement layers
-    (``repro.analysis.perf``, ``repro.obs.profile``, ``repro.runner``)
-    are outside the banned set by construction.
+    (``repro.obs.profile``, ``repro.runner``) are outside the banned set
+    by construction.
     """
     if not _in_packages(src.module, HOT_CLOCK_PREFIXES):
         return
@@ -260,7 +249,7 @@ def check_clock(src: SourceFile) -> Iterator[Finding]:
                     f"importing {', '.join(banned)} from {node.module} "
                     "inside simulation code; use Environment.now for "
                     "simulated time (wall clocks belong in "
-                    "repro.analysis.perf / repro.obs.profile / the CLI)",
+                    "repro.obs.profile / repro.runner / the CLI)",
                 )
         elif isinstance(node, (ast.Attribute, ast.Name)):
             resolved = imports.resolve(node)
@@ -274,7 +263,7 @@ def check_clock(src: SourceFile) -> Iterator[Finding]:
                     node,
                     f"{resolved} read inside simulation code; use "
                     "Environment.now (wall clocks belong in "
-                    "repro.analysis.perf / repro.obs.profile / the CLI)",
+                    "repro.obs.profile / repro.runner / the CLI)",
                 )
 
 
@@ -498,11 +487,10 @@ def _queue_aliases(scope: ast.AST) -> Tuple[Set[str], Set[str]]:
 
 def fast_path_sites(
     src: SourceFile,
-) -> Iterator[Tuple[str, ast.Call, str]]:
-    """Every candidate fast-path push in ``src``.
+) -> Iterator[Tuple[str, ast.Call]]:
+    """Every open-coded ``heappush`` onto an event queue in ``src``.
 
-    Yields ``(qualname, call_node, kind)`` with ``kind`` one of
-    ``"_push"`` / ``"heappush"``.  FAST-001 flags the sites missing from
+    Yields ``(qualname, call_node)``.  FAST-001 flags the sites missing from
     :data:`FAST_PATH_ALLOWLIST`; STALE-001 (``repro.lint.flow``) flags
     the allowlist entries matching none of these sites, so both rules
     share one definition of "site" and cannot drift.
@@ -517,9 +505,6 @@ def fast_path_sites(
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "_push":
-            yield qual, node, "_push"
-            continue
         is_heappush = imports.resolve(func) == "heapq.heappush" or (
             isinstance(func, ast.Name) and func.id in push_names
         )
@@ -530,7 +515,7 @@ def fast_path_sites(
             isinstance(target, ast.Attribute) and target.attr == "_queue"
         ) or (isinstance(target, ast.Name) and target.id in queue_names)
         if onto_queue:
-            yield qual, node, "heappush"
+            yield qual, node
 
 
 @checker(
@@ -538,33 +523,24 @@ def fast_path_sites(
     "unvalidated event-queue push outside the audited allowlist",
 )
 def check_fast_path(src: SourceFile) -> Iterator[Finding]:
-    """Keep ``Environment._push`` / open-coded heap pushes enumerable.
+    """Keep open-coded heap pushes enumerable.
 
-    ``_push`` and direct ``heappush(env._queue, ...)`` skip the kernel's
+    A direct ``heappush(env._queue, ...)`` skips the kernel's
     NaN/negative-delay validation; each such call site must be audited
     (delay provably finite and >= now) and listed in
     :data:`FAST_PATH_ALLOWLIST`.  Anything else should call
     ``Environment.schedule``/``schedule_at``/``schedule_batch``.
     """
-    for qual, node, kind in fast_path_sites(src):
+    for qual, node in fast_path_sites(src):
         if (src.module, qual) in FAST_PATH_ALLOWLIST:
             continue
-        if kind == "_push":
-            yield src.finding(
-                "FAST-001",
-                node,
-                "Environment._push bypasses delay validation; call "
-                "schedule()/schedule_at() or add this audited site "
-                "to repro.lint.checkers.FAST_PATH_ALLOWLIST",
-            )
-        else:
-            yield src.finding(
-                "FAST-001",
-                node,
-                "open-coded heappush onto an event queue bypasses kernel "
-                "validation; call schedule()/schedule_at() or add this "
-                "audited site to repro.lint.checkers.FAST_PATH_ALLOWLIST",
-            )
+        yield src.finding(
+            "FAST-001",
+            node,
+            "open-coded heappush onto an event queue bypasses kernel "
+            "validation; call schedule()/schedule_at() or add this "
+            "audited site to repro.lint.checkers.FAST_PATH_ALLOWLIST",
+        )
 
 
 # -- JSON-001 ----------------------------------------------------------------

@@ -566,7 +566,7 @@ def check_stale_allowlists(graph: ProjectGraph) -> Iterator[Finding]:
         index = graph.modules.get(module)
         if index is None:
             continue
-        sites = {q for q, _node, _kind in fast_path_sites(index.source)}
+        sites = {q for q, _node in fast_path_sites(index.source)}
         if qual not in sites:
             path, line, mod = _allowlist_location(
                 graph, "repro.lint.checkers", "FAST_PATH_ALLOWLIST", index

@@ -14,7 +14,7 @@ dispatched callback:
   decide *which* simulator path to optimize next.
 
 Profiling is off by default and costs nothing when disabled: the kernel's
-``step()`` does a single ``is None`` check.  Wall times come from
+``run()`` does a single ``is None`` check per event.  Wall times come from
 ``time.perf_counter`` and are *not* deterministic -- they never feed back
 into simulation state, only into this report.
 """

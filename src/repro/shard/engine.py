@@ -340,7 +340,7 @@ def run_sharded(
 
     ``shard_latency_ns`` adds extra fiber delay on cut inter-stage hops
     (stage-cut plans only) — 0.0 preserves single-cabinet physics and is
-    the default; the perf harness passes 100.0 ns (inter-cabinet fiber,
+    the default; the benchmark passes 100.0 ns (inter-cabinet fiber,
     paper Table VI) to widen the lookahead window.
 
     ``backend`` is ``"process"`` (default; requires fork) or ``"inline"``.

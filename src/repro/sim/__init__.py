@@ -1,27 +1,10 @@
-"""Discrete-event simulation kernel (SimPy-style processes + fast callbacks)."""
+"""Discrete-event simulation kernel: a callback heap plus seeded RNG streams."""
 
-from repro.sim.core import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    Timeout,
-)
+from repro.sim.core import Environment
 from repro.sim.rand import derive_seed, numpy_stream, stream
-from repro.sim.resources import Resource, Store
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Environment",
-    "Event",
-    "Interrupt",
-    "Process",
-    "Timeout",
-    "Resource",
-    "Store",
     "derive_seed",
     "numpy_stream",
     "stream",

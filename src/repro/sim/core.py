@@ -1,25 +1,18 @@
 """A small discrete-event simulation kernel.
 
-This is the substrate every simulator in the library runs on.  It offers two
-programming styles:
-
-* **Process style** (SimPy-like): generator functions yield :class:`Timeout`
-  or :class:`Event` objects and are resumed when those events fire.  This is
-  the readable style used by examples and host-side protocol logic.
-* **Callback style**: :meth:`Environment.schedule` runs a plain callable at a
-  future time.  This avoids generator overhead and is used by the hot loops
-  of the packet-level network simulators.
+This is the substrate every simulator in the library runs on: a clock and
+a heap of callbacks.  :meth:`Environment.schedule` (and ``schedule_at`` /
+``schedule_batch``) queue a plain callable to run at a future time, and
+:meth:`Environment.run` dispatches them in ``(time, seq)`` order.
 
 Time is a float; the unit is chosen by the caller (network simulators use
 nanoseconds, the gate-level circuit simulator uses picoseconds).
 
 Hot-path engineering (see DESIGN.md section 10): the event queue is a heap of
 ``(time, seq, fn, args)`` tuples where ``seq`` is a plain integer sequence
-(FIFO tie-break for simultaneous events, no ``itertools.count`` indirection);
-:meth:`Environment.run` drains the heap with ``heappop`` and the queue bound
-to locals instead of calling :meth:`Environment.step` per event; and process
-resumption takes an allocation-free path when the yielded event has already
-been processed.  None of this changes event ordering: the ``(time, seq)``
+(FIFO tie-break for simultaneous events, no ``itertools.count`` indirection),
+and :meth:`Environment.run` drains the heap with ``heappop`` and the queue
+bound to locals.  None of this changes event ordering: the ``(time, seq)``
 keys -- and therefore the dispatch sequence -- are identical to the naive
 implementation, which is what keeps simulation results byte-identical.
 """
@@ -31,9 +24,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    ClassVar,
-    Dict,
-    Generator,
     Iterable,
     List,
     Optional,
@@ -45,296 +35,12 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:
     from repro.obs.profile import KernelProfile
 
-__all__ = [
-    "Environment",
-    "Event",
-    "Timeout",
-    "Process",
-    "AnyOf",
-    "AllOf",
-    "Interrupt",
-]
+__all__ = ["Environment"]
 
 _INF = float("inf")
 
 # One scheduled entry: (absolute time, FIFO tie-break seq, callback, args).
 _QueueItem = Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]
-
-# The generator type a Process wraps: yields events, receives their values.
-ProcessGenerator = Generator["Event", Any, Any]
-
-
-class Interrupt(Exception):
-    """Thrown into a process that has been interrupted via
-    :meth:`Process.interrupt`.  ``cause`` carries the interrupter's payload."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
-class Event:
-    """A one-shot occurrence that processes can wait on.
-
-    An event starts *untriggered*; calling :meth:`succeed` (or
-    :meth:`fail`) schedules its callbacks to run at the current simulation
-    time.  An event can only be triggered once.
-    """
-
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "_processed")
-
-    def __init__(self, env: "Environment") -> None:
-        self.env = env
-        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
-        self._value: Any = None
-        self._ok = True
-        self._triggered = False
-        self._processed = False
-
-    @property
-    def triggered(self) -> bool:
-        """True once the event has been scheduled to fire."""
-        return self._triggered
-
-    @property
-    def processed(self) -> bool:
-        """True once the event's callbacks have run."""
-        return self._processed
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once processed)."""
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        """The payload passed to :meth:`succeed` or :meth:`fail`."""
-        return self._value
-
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with an optional ``value``."""
-        self._trigger(True, value)
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception to be raised in waiters."""
-        if not isinstance(exception, BaseException):
-            raise SimulationError("Event.fail() requires an exception instance")
-        self._trigger(False, exception)
-        return self
-
-    def _trigger(self, ok: bool, value: Any) -> None:
-        if self._triggered:
-            raise SimulationError("event has already been triggered")
-        self._triggered = True
-        self._ok = ok
-        self._value = value
-        self.env._schedule_event(self)
-
-    def _process(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
-
-
-class Timeout(Event):
-    """An event that fires automatically after ``delay`` time units."""
-
-    __slots__ = ("delay",)
-
-    def __init__(
-        self, env: "Environment", delay: float, value: Any = None
-    ) -> None:
-        if not (0.0 <= delay < _INF):
-            raise SimulationError(
-                f"timeout delay must be finite and >= 0, got {delay!r}"
-            )
-        super().__init__(env)
-        self.delay = delay
-        self._value = value
-        self._ok = True
-        self._triggered = True
-        env._schedule_event(self, delay)
-
-
-class _Started:
-    """Pre-fired pseudo-event used to kick off a fresh :class:`Process`
-    without allocating a real :class:`Event` (the resume path only reads
-    ``ok``/``value``)."""
-
-    __slots__ = ()
-    callbacks: ClassVar[None] = None
-    ok: ClassVar[bool] = True
-    value: ClassVar[None] = None
-
-
-_START = _Started()
-
-
-class Process(Event):
-    """Wraps a generator; the process event fires when the generator ends.
-
-    The generator yields events; the process is resumed with the event's
-    value when it fires (or the event's exception is thrown in).
-    """
-
-    __slots__ = ("_generator", "_waiting_on", "_abandoned")
-
-    def __init__(
-        self, env: "Environment", generator: ProcessGenerator
-    ) -> None:
-        if not hasattr(generator, "send"):
-            raise SimulationError(
-                "Process requires a generator (did you call the function?)"
-            )
-        super().__init__(env)
-        self._generator = generator
-        # Events this process stopped waiting on due to interrupt(); their
-        # eventual wake-ups are discarded (the tombstone check in _resume).
-        self._abandoned: List[Any] = []
-        # Kick off the process at the current time (allocation-free: the
-        # shared _START sentinel stands in for a pre-fired init event).
-        self._waiting_on: Optional[Any] = _START
-        env._push(env._now, self._resume, (_START,))
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error.  The event the
-        process was waiting on is *abandoned* in O(1): instead of removing
-        the resume callback from the event's (potentially long) callback
-        list, the event is tombstoned and its eventual wake-up is
-        discarded by :meth:`_resume`.
-        """
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        waiting = self._waiting_on
-        if waiting is not None:
-            self._abandoned.append(waiting)
-        wakeup = Event(self.env)
-        wakeup.fail(Interrupt(cause))
-        callbacks = wakeup.callbacks
-        assert callbacks is not None  # cleared only when processed
-        callbacks.append(self._resume)
-        self._waiting_on = wakeup
-
-    def _resume(self, event: Any) -> None:
-        abandoned = self._abandoned
-        if abandoned and event in abandoned:
-            # Stale wake-up from an event this process stopped waiting on
-            # (see interrupt()).  Each interrupt abandons exactly one
-            # pending wake-up, so consume exactly one tombstone.
-            abandoned.remove(event)
-            return
-        if self._triggered:
-            return  # the process already finished; nothing to resume
-        self._waiting_on = None
-        try:
-            target = (
-                self._generator.send(event.value)
-                if event.ok
-                else self._generator.throw(event.value)
-            )
-        except StopIteration as stop:
-            self.succeed(getattr(stop, "value", None))
-            return
-        except Interrupt as exc:
-            # An unhandled Interrupt terminates the process with failure.
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process yielded a non-event: {target!r}"
-            )
-        self._waiting_on = target
-        if target.callbacks is None:
-            # Already processed: resume at the current time.  Free path --
-            # the target itself carries ok/value, so no wake-up event is
-            # allocated; the resume is pushed straight onto the queue at
-            # the same (time, seq) position the wake-up would have had.
-            env = self.env
-            env._push(env._now, self._resume, (target,))
-        else:
-            target.callbacks.append(self._resume)
-
-
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite events."""
-
-    __slots__ = ("_events", "_count")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._count = 0
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            if event.callbacks is None:
-                self._on_fire(event)
-                if self._triggered:
-                    break
-            else:
-                event.callbacks.append(self._on_fire)
-
-    def _collect(self) -> Dict[Event, Any]:
-        """Snapshot ``{event: value}`` of every input event whose outcome
-        is already *decided* (triggered or processed).
-
-        Semantics, by design: a triggered-but-unprocessed event has its
-        value fixed at trigger time (:meth:`Event._trigger` writes it
-        before scheduling the callbacks), so including it is safe and
-        deliberate -- when several inputs trigger at the same timestamp,
-        AnyOf reports every one of them, not just the one whose
-        processing fired the condition.  Untriggered events are excluded;
-        their values are not yet defined.
-        """
-        return {
-            event: event.value
-            for event in self._events
-            if event.processed or event.triggered
-        }
-
-    def _on_fire(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any of the given events fires."""
-
-    __slots__ = ()
-
-    def _on_fire(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Fires once all of the given events have fired."""
-
-    __slots__ = ()
-
-    def _on_fire(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._count += 1
-        if self._count == len(self._events):
-            self.succeed(self._collect())
 
 
 class Environment:
@@ -392,7 +98,7 @@ class Environment:
         profile, self._profile = self._profile, None
         return profile
 
-    # -- callback style ----------------------------------------------------
+    # -- scheduling --------------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` time units (fast path).
@@ -465,76 +171,21 @@ class Environment:
         self._seq = seq
         return len(items)
 
-    # -- process style -----------------------------------------------------
-
-    def process(self, generator: ProcessGenerator) -> Process:
-        """Register ``generator`` as a process; returns its Process event."""
-        return Process(self, generator)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires after ``delay``."""
-        return Timeout(self, delay, value)
-
-    def event(self) -> Event:
-        """Create an untriggered event."""
-        return Event(self)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when any input event fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when every input event has fired."""
-        return AllOf(self, events)
-
-    def _push(
-        self, when: float, fn: Callable[..., Any], args: Tuple[Any, ...]
-    ) -> None:
-        """Internal unvalidated push (callers guarantee a sane ``when``)."""
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, (when, seq, fn, args))
-
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self._push(self._now + delay, event._process, ())
-
     # -- execution ----------------------------------------------------------
-
-    def step(self) -> None:
-        """Process the single next scheduled item."""
-        queue = self._queue
-        run_list = self._run
-        ridx = self._ridx
-        if ridx < len(run_list):
-            item = run_list[ridx]
-            if queue and queue[0] < item:
-                item = heapq.heappop(queue)
-            else:
-                self._ridx = ridx + 1
-        else:
-            item = heapq.heappop(queue)
-        when, _, fn, args = item
-        self._now = when
-        if self._profile is None:
-            fn(*args)
-        else:
-            self._profile.dispatch(
-                fn, args, len(queue) + len(run_list) - self._ridx + 1
-            )
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until nothing remains scheduled, or until time ``until``.
 
-        When ``until`` is given, the clock is advanced to exactly ``until``
-        even if the queue empties earlier.
+        When ``until`` is given (finite and >= now), the clock is advanced
+        to exactly ``until`` even if the queue empties earlier.
 
         This is the kernel's hottest loop: the queue, ``heappop``, and the
-        dispatch logic of :meth:`step` are inlined with locals so each
-        event costs one pop and one call.  Events come from two sources
-        merged by ``(time, seq)``: the heap of dynamically scheduled
-        events and the sorted :meth:`schedule_batch` list.  The merge pops
-        whichever head is smaller, which is exactly the order one big heap
-        would produce, so the split cannot change simulation results.
+        dispatch logic are inlined with locals so each event costs one pop
+        and one call.  Events come from two sources merged by
+        ``(time, seq)``: the heap of dynamically scheduled events and the
+        sorted :meth:`schedule_batch` list.  The merge pops whichever head
+        is smaller, which is exactly the order one big heap would produce,
+        so the split cannot change simulation results.
         """
         queue = self._queue
         pop = heapq.heappop
@@ -566,9 +217,10 @@ class Environment:
                             fn, args, len(queue) + (rlen - ridx) + 1
                         )
                 return
-            if until < self._now:
+            if not (self._now <= until < _INF):
                 raise SimulationError(
-                    f"until={until} is in the past (now={self._now})"
+                    f"cannot run until t={until!r} (now={self._now}): "
+                    f"time must be finite and >= now"
                 )
             while True:
                 if ridx < rlen:

@@ -3,10 +3,6 @@
 from heapq import heappush
 
 
-def hurry(env, fn, delay):
-    env._push(env._now + delay, fn, ())
-
-
 def sneak(env, fn, delay):
     heappush(env._queue, (env._now + delay, 0, fn, ()))
 

@@ -15,7 +15,7 @@ class TestParser:
         assert set(sub.choices) == {
             "table4", "table5", "fig6", "fig7", "fig8", "fig9", "fig10",
             "drop-model", "packaging", "awgr", "diagnose", "resilience",
-            "trace", "perf", "lint", "zoo",
+            "trace", "lint", "zoo",
         }
 
     def test_requires_subcommand(self):

@@ -68,7 +68,7 @@ class TestRuleFixtures:
         ("CLK-001", SIM / "clock_bad.py", SIM / "clock_clean.py", 3),
         ("DET-001", SIM / "det_bad.py", SIM / "det_clean.py", 2),
         ("SLOTS-001", NETSIM / "slots_bad.py", NETSIM / "slots_clean.py", 1),
-        ("FAST-001", SIM / "fast_bad.py", SIM / "fast_clean.py", 3),
+        ("FAST-001", SIM / "fast_bad.py", SIM / "fast_clean.py", 2),
         ("JSON-001", RUNNER / "json_bad.py", RUNNER / "json_clean.py", 2),
         ("SEED-001", BENCH / "seed_bad.py", BENCH / "seed_clean.py", 3),
         ("MERGE-001", SHARD / "merge_bad.py", SHARD / "merge_clean.py", 3),
@@ -289,7 +289,7 @@ class TestStaleAllowlists:
     def test_fast_allowlist_entry_matching_a_site_is_live(self, monkeypatch):
         monkeypatch.setattr(
             checkers, "FAST_PATH_ALLOWLIST",
-            frozenset({("repro.sim.fast_bad", "hurry")}),
+            frozenset({("repro.sim.fast_bad", "sneak")}),
         )
         report = run_lint(
             [SIM / "fast_bad.py"], select=["STALE-001"], exclude_dirs=()

@@ -1,4 +1,4 @@
-"""Fast-path/slow-path identity and perf-harness smoke tests.
+"""Fast-path/slow-path identity tests.
 
 The hot-path work (DESIGN.md section 10) split Baldur's arbitration into
 an allocation-free fast path and an instrumented slow path (taken when
@@ -6,24 +6,10 @@ test mode, degraded mode, or metrics are active), and split the kernel's
 event sources into a heap plus a sorted batch list.  None of that may
 change simulation *results*: these tests pin the optimized paths
 byte-identical -- same ``StatsSummary`` including the per-packet latency
-digest -- to the instrumented ones on a contended cell, and smoke-test
-the ``repro-bench perf`` harness itself.
+digest -- to the instrumented ones on a contended cell.
 """
 
-import json
-
-import pytest
-
 from repro.analysis.experiments import run_open_loop
-from repro.analysis.perf import (
-    bench_fig6_baldur,
-    bench_kernel,
-    compare_reports,
-    format_comparison,
-    format_report,
-    run_perf_suite,
-    write_report,
-)
 from repro.netsim.stats import StatsSummary
 from repro.obs import MetricsRegistry, Tracer
 
@@ -67,58 +53,3 @@ class TestFastSlowPathIdentity:
         # assertions above prove nothing.
         assert instrumented["drops"] + instrumented["ack_drops"] > 0
         assert instrumented["retransmissions"] > 0
-
-
-class TestPerfHarness:
-    def test_quick_suite_shape(self):
-        report = run_perf_suite(quick=True, networks=("baldur",))
-        assert report["quick"] is True
-        assert report["schema"] == 1
-        assert report["kernel"]["dispatch_events_per_s"] > 0
-        assert report["simulators"]["baldur"]["packets_per_s"] > 0
-        assert report["fig6_baldur"]["delivered"] > 0
-
-    def test_bench_kernel_counts_events(self):
-        result = bench_kernel(2_000)
-        assert result["n_events"] == 2_000
-        assert result["schedule_ops_per_s"] > 0
-        assert result["process_events_per_s"] > 0
-
-    def test_bench_fig6_runs_the_sweep(self):
-        result = bench_fig6_baldur(
-            n_nodes=16, packets_per_node=4, loads=(0.7,),
-            patterns=("transpose",),
-        )
-        assert result["cells"] == 1
-        assert result["delivered"] > 0
-
-    def test_write_report_round_trips(self, tmp_path):
-        report = run_perf_suite(quick=True, networks=("ideal",))
-        out = tmp_path / "BENCH_perf.json"
-        write_report(report, str(out))
-        loaded = json.loads(out.read_text())
-        assert loaded["quick"] is True
-        assert "ideal" in loaded["simulators"]
-        assert format_report(loaded)  # renders without error
-
-    def test_compare_reports_flags_regressions(self):
-        report = run_perf_suite(quick=True, networks=("ideal",))
-        slower = json.loads(json.dumps(report, allow_nan=False))
-        slower["kernel"]["dispatch_events_per_s"] *= 0.5
-        rows = compare_reports(report, slower)
-        by_metric = {r["metric"]: r for r in rows}
-        assert by_metric["kernel.dispatch_events_per_s"]["speedup"] == (
-            pytest.approx(2.0)
-        )
-        assert not by_metric["kernel.dispatch_events_per_s"]["regression"]
-        # And the reverse direction is a regression.
-        rows = compare_reports(slower, report)
-        by_metric = {r["metric"]: r for r in rows}
-        assert by_metric["kernel.dispatch_events_per_s"]["regression"]
-        assert format_comparison(rows)  # renders without error
-
-    def test_compare_refuses_quick_vs_full_mismatch(self):
-        quick = {"quick": True, "kernel": {}, "fig6_baldur": {}}
-        full = {"quick": False, "kernel": {}, "fig6_baldur": {}}
-        with pytest.raises(ValueError):
-            compare_reports(quick, full)

@@ -86,6 +86,37 @@ def test_derive_seed_is_pure():
     assert rand.derive_seed(3, "x") != rand.derive_seed(3, "y")
 
 
+class TestRandomStreams:
+    def test_derive_seed_deterministic(self):
+        assert rand.derive_seed(1, "traffic") == rand.derive_seed(1, "traffic")
+
+    def test_derive_seed_distinguishes_names(self):
+        assert rand.derive_seed(1, "traffic") != rand.derive_seed(1, "wiring")
+
+    def test_derive_seed_distinguishes_masters(self):
+        assert rand.derive_seed(1, "traffic") != rand.derive_seed(2, "traffic")
+
+    def test_stream_returns_random_instance(self):
+        rng = rand.stream(0, "x")
+        assert isinstance(rng, random.Random)
+
+    def test_stream_reproducible(self):
+        a = [rand.stream(5, "s").random() for _ in range(3)]
+        b = [rand.stream(5, "s").random() for _ in range(3)]
+        assert a == b
+
+    def test_numpy_stream_reproducible(self):
+        a = rand.numpy_stream(5, "s").standard_normal(4)
+        b = rand.numpy_stream(5, "s").standard_normal(4)
+        assert (a == b).all()
+
+    def test_adjacent_seeds_decorrelated(self):
+        # SHA-based derivation should make adjacent master seeds unrelated.
+        a = rand.stream(100, "t").random()
+        b = rand.stream(101, "t").random()
+        assert abs(a - b) > 1e-12
+
+
 def test_global_random_state_untouched_by_a_simulation():
     """Running a full experiment cell must not consume from (or reseed)
     the process-global RNG."""

@@ -2,8 +2,10 @@
 
 import pytest
 
+import repro.sim
+from repro.electrical import IdealNetwork
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim import Environment
 
 
 class TestScheduling:
@@ -103,233 +105,10 @@ class TestScheduling:
         assert fired == [("outer", 1.0), ("inner", 4.0)]
 
 
-class TestEvents:
-    def test_event_succeed_delivers_value(self):
-        env = Environment()
-        event = env.event()
-        seen = []
-        event.callbacks.append(lambda e: seen.append(e.value))
-        event.succeed("payload")
-        env.run()
-        assert seen == ["payload"]
-
-    def test_event_double_trigger_raises(self):
-        env = Environment()
-        event = env.event()
-        event.succeed()
-        with pytest.raises(SimulationError):
-            event.succeed()
-
-    def test_event_fail_requires_exception(self):
-        env = Environment()
-        event = env.event()
-        with pytest.raises(SimulationError):
-            event.fail("not an exception")
-
-    def test_event_flags_lifecycle(self):
-        env = Environment()
-        event = env.event()
-        assert not event.triggered and not event.processed
-        event.succeed(1)
-        assert event.triggered and not event.processed
-        env.run()
-        assert event.processed and event.ok and event.value == 1
-
-
-class TestProcesses:
-    def test_simple_timeout_process(self):
-        env = Environment()
-        log = []
-
-        def proc():
-            log.append(env.now)
-            yield env.timeout(10)
-            log.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert log == [0.0, 10.0]
-
-    def test_process_return_value(self):
-        env = Environment()
-
-        def proc():
-            yield env.timeout(1)
-            return "done"
-
-        p = env.process(proc())
-        env.run()
-        assert p.value == "done"
-
-    def test_process_requires_generator(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.process(lambda: None)
-
-    def test_process_waits_on_event(self):
-        env = Environment()
-        gate = env.event()
-        log = []
-
-        def waiter():
-            value = yield gate
-            log.append((env.now, value))
-
-        env.process(waiter())
-        env.schedule(5.0, lambda: gate.succeed("go"))
-        env.run()
-        assert log == [(5.0, "go")]
-
-    def test_process_waits_on_another_process(self):
-        env = Environment()
-        log = []
-
-        def child():
-            yield env.timeout(3)
-            return "child-result"
-
-        def parent():
-            result = yield env.process(child())
-            log.append((env.now, result))
-
-        env.process(parent())
-        env.run()
-        assert log == [(3.0, "child-result")]
-
-    def test_yield_already_processed_event_resumes_immediately(self):
-        env = Environment()
-        done = env.event()
-        done.succeed("early")
-        log = []
-
-        def late_waiter():
-            yield env.timeout(5)
-            value = yield done
-            log.append((env.now, value))
-
-        env.process(late_waiter())
-        env.run()
-        assert log == [(5.0, "early")]
-
-    def test_interrupt_handled(self):
-        env = Environment()
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100)
-            except Interrupt as exc:
-                log.append((env.now, exc.cause))
-
-        p = env.process(sleeper())
-        env.schedule(4.0, lambda: p.interrupt("wake up"))
-        env.run()
-        assert log == [(4.0, "wake up")]
-
-    def test_interrupt_finished_process_raises(self):
-        env = Environment()
-
-        def quick():
-            yield env.timeout(1)
-
-        p = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_unhandled_interrupt_fails_process(self):
-        env = Environment()
-
-        def sleeper():
-            yield env.timeout(100)
-
-        p = env.process(sleeper())
-        env.schedule(1.0, lambda: p.interrupt("boom"))
-        env.run()
-        assert p.processed and not p.ok
-        assert isinstance(p.value, Interrupt)
-
-    def test_is_alive(self):
-        env = Environment()
-
-        def proc():
-            yield env.timeout(10)
-
-        p = env.process(proc())
-        assert p.is_alive
-        env.run()
-        assert not p.is_alive
-
-    def test_yield_non_event_raises(self):
-        env = Environment()
-
-        def bad():
-            yield 42
-
-        env.process(bad())
-        with pytest.raises(SimulationError):
-            env.run()
-
-
-class TestConditions:
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-        log = []
-
-        def proc():
-            t1 = env.timeout(5, value="fast")
-            t2 = env.timeout(50, value="slow")
-            result = yield env.any_of([t1, t2])
-            log.append((env.now, list(result.values())))
-
-        env.process(proc())
-        env.run(until=100)
-        assert log[0][0] == 5.0
-        assert "fast" in log[0][1]
-
-    def test_all_of_waits_for_all(self):
-        env = Environment()
-        log = []
-
-        def proc():
-            t1 = env.timeout(5)
-            t2 = env.timeout(50)
-            yield env.all_of([t1, t2])
-            log.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert log == [50.0]
-
-    def test_all_of_empty_fires_immediately(self):
-        env = Environment()
-        log = []
-
-        def proc():
-            yield env.all_of([])
-            log.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert log == [0.0]
-
-    def test_condition_classes_exported(self):
-        env = Environment()
-        assert isinstance(env.any_of([]), AnyOf)
-        assert isinstance(env.all_of([]), AllOf)
-
-
-class TestTimeout:
-    def test_negative_delay_raises(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.timeout(-0.5)
-
-    def test_timeout_carries_value(self):
-        env = Environment()
-        t = env.timeout(1, value="v")
-        env.run()
-        assert t.value == "v"
+def test_public_names_are_environment_and_rand_helpers():
+    assert sorted(repro.sim.__all__) == [
+        "Environment", "derive_seed", "numpy_stream", "stream",
+    ]
 
 
 class TestNonFiniteDelays:
@@ -352,11 +131,27 @@ class TestNonFiniteDelays:
         with pytest.raises(SimulationError):
             env.schedule_at(when, lambda: None)
 
-    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
-    def test_timeout_rejects_non_finite(self, delay):
+    @pytest.mark.parametrize("until", [
+        float("nan"), float("inf"), -float("inf"),
+    ])
+    def test_run_until_rejects_non_finite(self, until):
         env = Environment()
+        fired = []
+        env.schedule(1.0, fired.append, 1.0)
         with pytest.raises(SimulationError):
-            env.timeout(delay)
+            env.run(until=until)
+        # Refused before dispatching: the clock and queue are untouched.
+        assert fired == []
+        assert env.now == 0.0
+        env.run()
+        assert fired == [1.0]
+
+    def test_network_run_until_nan_is_rejected(self):
+        net = IdealNetwork(4)
+        net.submit(0, 1, time=0.0)
+        with pytest.raises(SimulationError):
+            net.run(until=float("nan"))
+        assert net.run().delivered == 1
 
     def test_schedule_batch_rejects_non_finite(self):
         env = Environment()
@@ -465,10 +260,10 @@ class TestScheduleBatch:
         env.schedule(3.0, fired.append, 3.0)
         assert not env.empty()
         assert env.peek() == 2.0
-        env.step()
+        env.run(until=2.0)
         assert fired == [2.0]
         assert env.peek() == 3.0
-        env.step()
+        env.run()
         assert fired == [2.0, 3.0]
         assert env.empty()
 
@@ -497,72 +292,3 @@ class TestScheduleBatch:
         env.schedule(1.0, first)
         env.run()
         assert order == ["first", "early", "late"]
-
-
-class TestInterruptBookkeeping:
-    """Process.interrupt abandons the awaited event in O(1); the event
-    firing later must not resume the process a second time."""
-
-    def test_abandoned_event_fire_does_not_double_resume(self):
-        env = Environment()
-        log = []
-        wakeup = env.event()
-
-        def proc():
-            try:
-                yield wakeup
-                log.append("event")
-            except Interrupt:
-                log.append("interrupted")
-                yield env.timeout(5.0)
-                log.append("slept")
-
-        p = env.process(proc())
-        env.schedule(1.0, p.interrupt, "go")
-        # The abandoned event fires while the process sleeps; it must not
-        # resume the process early (or twice).
-        env.schedule(2.0, wakeup.succeed)
-        env.run()
-        assert log == ["interrupted", "slept"]
-        assert env.now == 6.0
-
-    def test_double_interrupt_delivers_both(self):
-        env = Environment()
-        log = []
-
-        def proc():
-            for _ in range(2):
-                try:
-                    yield env.timeout(100.0)
-                    log.append("timeout")
-                except Interrupt as exc:
-                    log.append(f"interrupted:{exc.cause}")
-
-        p = env.process(proc())
-        env.schedule(1.0, p.interrupt, "one")
-        env.schedule(2.0, p.interrupt, "two")
-        env.run()
-        assert log == ["interrupted:one", "interrupted:two"]
-
-    def test_reyield_same_event_after_interrupt(self):
-        """Re-waiting on the very event abandoned by an interrupt still
-        works: the tombstone consumes exactly one resume, so the second
-        registration wakes the process when the event fires."""
-        env = Environment()
-        log = []
-        wakeup = env.event()
-
-        def proc():
-            try:
-                yield wakeup
-                log.append("first-wait")
-            except Interrupt:
-                log.append("interrupted")
-            yield wakeup
-            log.append("second-wait")
-
-        p = env.process(proc())
-        env.schedule(1.0, p.interrupt, "go")
-        env.schedule(2.0, wakeup.succeed)
-        env.run()
-        assert log == ["interrupted", "second-wait"]
