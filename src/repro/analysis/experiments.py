@@ -68,10 +68,9 @@ they managed to deliver by this time, as in any fixed-horizon replay."""
 def build_network(name: str, n_nodes: int, seed: int = 0):
     """Construct a Sec. V network (or any zoo architecture) by name.
 
-    Delegates to the :mod:`repro.zoo` architecture registry, whose
-    builders construct the exact classes and arguments this function
-    historically hand-wired (Table VI configs) -- pinned byte-identical
-    by the goldens and the registry↔legacy suite in ``tests/test_zoo.py``.
+    One hop to the :mod:`repro.zoo` table, whose builders construct the
+    Table VI configurations -- pinned byte-identical by the goldens and
+    the table↔hand-wired suite in ``tests/test_zoo.py``.
     """
     # Lazy import: the zoo pulls in every simulator package, and most
     # analysis imports (power tables, plotting) never build a network.
@@ -410,7 +409,7 @@ def table5(
 
 ZOO_NETWORKS = ("baldur", "rotor")
 """The architecture-zoo comparison: the paper's network against the
-RotorNet-style rotor fabric built from registry components."""
+RotorNet-style rotor fabric."""
 
 
 def zoo_spec(
@@ -427,10 +426,10 @@ def zoo_spec(
     """Baldur vs. the rotor architecture as a declarative sweep spec.
 
     Reuses the ``open_loop`` job kind unchanged: cells resolve their
-    network through :func:`build_network`, which goes through the
-    :mod:`repro.zoo` registry, so any registered architecture name is a
-    valid axis value.  ``shards`` is only added to the spec when set
-    (see :func:`figure6_spec`), keeping default job keys stable.
+    network through :func:`build_network`, so any name in the
+    :mod:`repro.zoo` table is a valid axis value.  ``shards`` is only
+    added to the spec when set (see :func:`figure6_spec`), keeping
+    default job keys stable.
     """
     from repro.runner import SweepSpec
 

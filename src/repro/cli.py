@@ -35,16 +35,20 @@ Sweep-backed commands (``table5``, ``fig6``, ``fig7``, ``fig9``,
   exponential backoff) before quarantining them;
 * ``--resume [F]``   -- checkpoint completions to journal F (default
   ``repro-<command>.journal.jsonl``) and skip jobs already recorded
-  there, so an interrupted campaign continues byte-identically;
+  there, so an interrupted campaign continues byte-identically.
+
+The open-loop sweeps (``table5``, ``fig6``, ``zoo``) also accept:
+
 * ``--shards N``     -- run each cell on the sharded multi-core engine
-  with N worker kernels (open-loop kinds only: ``table5``, ``fig6``,
-  ``zoo``; see DESIGN.md section 14).  ``--shard-latency NS`` adds an
-  inter-shard fiber delay on cut links to widen the lookahead window.
+  with N worker kernels (see DESIGN.md section 14).  ``--shard-latency
+  NS`` adds an inter-shard fiber delay on cut links to widen the
+  lookahead window.
 
 Sweep commands run in record mode: a failing cell is reported on stderr
 instead of aborting the grid, and the exit code is the partial-failure
 contract -- 0 every cell ok, 1 some cells failed, 2 no cell produced a
-result.
+result.  A configuration error (unknown network, out-of-range argument)
+prints one ``error:`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.tables import format_latency_grid, format_table
+from repro.errors import ConfigurationError
 
 __all__ = ["main", "build_parser"]
 
@@ -100,17 +105,6 @@ def _sweep_kwargs(args) -> dict:
         ),
         resume=resume,
     )
-
-
-def _reject_shards(args, why: str) -> Optional[int]:
-    """Exit code 2 when ``--shards`` is passed to an unsupported command."""
-    if getattr(args, "shards", None) in (None, 1):
-        return None
-    print(
-        f"error: --shards is not supported for '{args.command}': {why}",
-        file=sys.stderr,
-    )
-    return 2
 
 
 def _finish_sweep(args, sweep) -> int:
@@ -223,11 +217,6 @@ def _cmd_fig7(args) -> None:
     )
     from repro.runner import run_sweep
 
-    status = _reject_shards(
-        args, "Fig. 7 workloads are closed-loop (receive hooks drive "
-        "the traffic)")
-    if status is not None:
-        return status
     sweep = run_sweep(
         figure7_spec(n_nodes=args.nodes, packets_per_node=args.packets,
                      seed=args.seed),
@@ -270,10 +259,6 @@ def _cmd_fig9(args) -> None:
     from repro.analysis.experiments import figure9_spec
     from repro.runner import run_sweep
 
-    status = _reject_shards(
-        args, "Fig. 9 cells are analytic power models, not simulations")
-    if status is not None:
-        return status
     sweep = run_sweep(figure9_spec(), **_sweep_kwargs(args))
     per_case = sweep.index("case")
     networks = ("dragonfly", "fattree", "multibutterfly")
@@ -354,10 +339,6 @@ def _cmd_resilience(args) -> None:
     from repro.faults import ChaosSchedule
     from repro.runner import run_sweep
 
-    status = _reject_shards(
-        args, "resilience cells inject faults mid-run")
-    if status is not None:
-        return status
     chaos = None
     if args.mtbf > 0:
         chaos = ChaosSchedule(
@@ -419,23 +400,12 @@ def _cmd_resilience(args) -> None:
 
 
 def _cmd_zoo(args) -> int:
-    """Architecture-zoo comparison sweep (or ``--list`` the registry)."""
-    from repro import zoo
-
+    """Architecture-zoo comparison sweep (or ``--list`` the table)."""
     if args.list:
-        print("# architectures (topology x routing x switch x scheduler)")
-        for name in zoo.architectures():
-            spec = zoo.architecture(name)
-            print(f"  {spec.describe()}")
-            if spec.summary:
-                print(f"      {spec.summary}")
-        print()
-        for registry in (zoo.TOPOLOGIES, zoo.ROUTINGS, zoo.SWITCHES,
-                         zoo.SCHEDULERS):
-            print(f"# {registry.kind} components")
-            for cname in registry.names():
-                print(f"  {registry.get(cname).describe()}")
-            print()
+        from repro.zoo import ARCHITECTURES
+
+        for name, builder in ARCHITECTURES.items():
+            print(f"{name}: {' '.join((builder.__doc__ or '').split())}")
         return 0
 
     from repro.analysis.experiments import reshape_zoo, zoo_spec
@@ -528,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, sweep=False, **extra):
+    def add(name, fn, sweep=False, shardable=False, **extra):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("--seed", type=int, default=0)
@@ -565,10 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
                 help="checkpoint completions to journal F (default "
                      "repro-<command>.journal.jsonl) and skip cells "
                      "already recorded there")
+        if shardable:
             p.add_argument(
                 "--shards", type=int, default=None, metavar="N",
                 help="run each cell on the sharded engine with N worker "
-                     "kernels (open-loop kinds only; DESIGN.md sec. 14)")
+                     "kernels (DESIGN.md sec. 14)")
             p.add_argument(
                 "--shard-latency", type=float, default=0.0, metavar="NS",
                 dest="shard_latency",
@@ -579,10 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("table4", _cmd_table4)
-    add("table5", _cmd_table5, sweep=True,
+    add("table5", _cmd_table5, sweep=True, shardable=True,
         nodes=dict(type=int, default=128),
         packets=dict(type=int, default=20))
-    fig6 = add("fig6", _cmd_fig6, sweep=True,
+    fig6 = add("fig6", _cmd_fig6, sweep=True, shardable=True,
                nodes=dict(type=int, default=128),
                packets=dict(type=int, default=20))
     fig6.add_argument("--loads", type=float, nargs="+",
@@ -590,23 +561,21 @@ def build_parser() -> argparse.ArgumentParser:
     add("fig7", _cmd_fig7, sweep=True,
         nodes=dict(type=int, default=128),
         packets=dict(type=int, default=20))
-    zoo = add("zoo", _cmd_zoo, sweep=True,
+    zoo = add("zoo", _cmd_zoo, sweep=True, shardable=True,
               nodes=dict(type=int, default=64),
               packets=dict(type=int, default=20),
               pattern=dict(default="random_permutation"))
     zoo.add_argument("--list", action="store_true",
-                     help="list registered architectures and components")
+                     help="list the architecture table and exit")
     zoo.add_argument("--loads", type=float, nargs="+",
                      default=[0.1, 0.4, 0.7])
     zoo.add_argument("--networks", nargs="+",
                      default=["baldur", "rotor"],
-                     help="architecture names to compare (any registry "
-                          "entry)")
+                     help="architecture names to compare (see --list)")
     trace = add(
         "trace", _cmd_trace,
         network=dict(default="baldur",
-                     help="baldur, multibutterfly, dragonfly, fattree, "
-                          "or ideal"),
+                     help="architecture name (see 'zoo --list')"),
         nodes=dict(type=int, default=64),
         pattern=dict(default="transpose"),
         load=dict(type=float, default=0.7),
@@ -668,7 +637,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    status = args.fn(args)
+    try:
+        status = args.fn(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if status is None else int(status)
 
 

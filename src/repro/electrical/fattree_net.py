@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro import constants as C
+from repro.electrical.multibutterfly import SHARD_EXEC_UNSUPPORTED_REASON
 from repro.netsim.network import NetworkSimulator
 from repro.netsim.packet import Packet
 from repro.netsim.switch import Host, Switch, VCBuffer
@@ -44,19 +45,7 @@ def _least_loaded_up(ports, half: int) -> int:
 class FatTreeNetwork(NetworkSimulator):
     """Packet simulator for the 3-level full-bisection fat-tree."""
 
-    # See MultiButterflyNetwork: zero-latency credit feedback rules out
-    # sharded execution; the plan exists for partition introspection.
-    _shard_exec_unsupported_reason = (
-        "buffered electrical switches propagate flow-control credits with "
-        "zero simulated latency, so a conservative lookahead window "
-        "across any cut would be empty"
-    )
-
-    def shard_plan(self, n_shards: int, shard_latency_ns: float = 0.0):
-        """Pod-cut partition plan (introspection only; see above)."""
-        from repro.shard.plan import fattree_plan
-
-        return fattree_plan(self.topology, n_shards)
+    _shard_exec_unsupported_reason = SHARD_EXEC_UNSUPPORTED_REASON
 
     def __init__(
         self,

@@ -26,33 +26,21 @@ __all__ = ["MultiButterflyNetwork"]
 INTER_STAGE_DELAY_NS = 10.0
 """Intra-cabinet stage-to-stage electrical link delay (model assumption)."""
 
+SHARD_EXEC_UNSUPPORTED_REASON = (
+    "buffered electrical switches propagate flow-control credits with "
+    "zero simulated latency, so a conservative lookahead window "
+    "across any cut would be empty"
+)
+"""Why no buffered electrical fabric runs sharded: ``VCBuffer.release``
+wakes the upstream port at the same simulated time, so the conservative
+lookahead across any cut through a credit loop is zero (DESIGN.md
+section 14)."""
+
 
 class MultiButterflyNetwork(NetworkSimulator):
     """Packet simulator for the electrical multi-butterfly."""
 
-    # Sharded *execution* is impossible for the buffered electrical
-    # fabrics: VCBuffer.release wakes the upstream port at the same
-    # simulated time (zero-latency credit feedback), so the conservative
-    # lookahead across any cut through a credit loop is zero (DESIGN.md
-    # section 14).  shard_plan still works for partition introspection.
-    _shard_exec_unsupported_reason = (
-        "buffered electrical switches propagate flow-control credits with "
-        "zero simulated latency, so a conservative lookahead window "
-        "across any cut would be empty"
-    )
-
-    def shard_plan(self, n_shards: int, shard_latency_ns: float = 0.0):
-        """Stage-cut partition plan (introspection only; see above)."""
-        from repro.shard.plan import multistage_plan
-
-        return multistage_plan(
-            self.topology,
-            n_shards,
-            link_delay_ns=self.link_delay_ns,
-            switch_latency_ns=self.switch_latency_ns,
-            cut_delay_ns=shard_latency_ns,
-            kind="multibutterfly",
-        )
+    _shard_exec_unsupported_reason = SHARD_EXEC_UNSUPPORTED_REASON
 
     def __init__(
         self,

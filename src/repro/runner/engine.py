@@ -43,6 +43,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Set,
     Tuple,
     Union,
 )
@@ -633,6 +634,8 @@ def _run_parallel(state: _SweepState, to_run: List[int],
     pending: Deque[_PendingJob] = deque(_PendingJob(i) for i in to_run)
     in_flight: Dict[Future[_WorkerResult], Tuple[int, float]] = {}
     rebuilds = 0
+    # Jobs lost together to one pool break: any of them may be the culprit.
+    suspects: Set[int] = set()
 
     def requeue(i: int, delay: float = 0.0) -> None:
         pending.append(_PendingJob(i, time.monotonic() + delay))
@@ -681,9 +684,13 @@ def _run_parallel(state: _SweepState, to_run: List[int],
                 pending.clear()
                 return True
 
-            # Dispatch every ready pending job into free worker slots.
+            # Dispatch every ready pending job into free worker slots --
+            # one slot while a suspect is unfinished, so the next pool
+            # break has exactly one job to blame.
+            suspects = {i for i in suspects if state.status[i] is None}
+            slots = 1 if suspects else workers
             for _ in range(len(pending)):
-                if len(in_flight) >= workers:
+                if len(in_flight) >= slots:
                     break
                 item = pending.popleft()
                 if item.ready_at > now:
@@ -728,14 +735,12 @@ def _run_parallel(state: _SweepState, to_run: List[int],
             done, _ = wait(set(in_flight), timeout=timeout,
                            return_when=FIRST_COMPLETED)
 
-            crashed = False
+            lost: List[int] = []
             for future in done:
                 i, started = in_flight.pop(future)
                 exc = future.exception()
                 if isinstance(exc, BrokenProcessPool):
-                    crashed = True
-                    if state.record_crash(i):
-                        requeue(i)
+                    lost.append(i)
                 elif exc is not None:
                     delay = state.record_failure(i, exc, str(exc))
                     if delay is not None:
@@ -753,15 +758,21 @@ def _run_parallel(state: _SweepState, to_run: List[int],
                         if delay is not None:
                             requeue(i, delay)
 
-            if crashed:
+            if lost:
                 state.report.worker_crashes += 1
                 state.counters.incr("worker_crashes")
-                # Crashes cannot be attributed precisely: every in-flight
-                # job advances its crash counter and is re-dispatched.
-                for i, _ in in_flight.values():
-                    if state.record_crash(i):
-                        requeue(i)
+                lost.extend(i for i, _ in in_flight.values())
                 in_flight.clear()
+                if len(lost) > 1:
+                    # Unattributable: charge nobody, isolate them all.
+                    suspects.update(lost)
+                elif not state.record_crash(lost[0]):
+                    # Alone in flight, so it killed its worker -- once
+                    # too often: quarantined, not re-dispatched.
+                    lost = []
+                # Lost jobs go first, so isolation ends soonest.
+                pending.extendleft(
+                    _PendingJob(i) for i in sorted(lost, reverse=True))
                 if not rebuild("worker crash"):
                     abort_remaining(
                         "BrokenPool",

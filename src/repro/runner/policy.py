@@ -63,11 +63,12 @@ class FaultPolicy:
     1`` is reported as ``status="quarantined"`` (a poison job)."""
 
     crash_retries: int = 2
-    """Re-dispatches a job may receive after worker crashes.  A crash
-    cannot be attributed more precisely than the in-flight set, so every
-    in-flight job's crash counter advances on a pool break: a repeatedly
-    crashing poison job is quarantined after ``crash_retries`` rebuilds
-    while innocent bystanders simply re-run."""
+    """Re-dispatches a job may receive after crashing its worker.  A pool
+    break that loses several jobs cannot be attributed, so it charges
+    nobody: all of them re-run one at a time, and only a job that is
+    alone in flight when the pool breaks advances its crash counter.  A
+    repeatedly crashing poison job is quarantined after ``crash_retries``
+    such re-dispatches while innocent bystanders simply re-run."""
 
     max_pool_rebuilds: int = 8
     """Total pool rebuilds (crashes + timeouts) per sweep before the

@@ -8,8 +8,8 @@ inter-shard link delay (:mod:`repro.shard.engine`).  The per-shard RNG
 contract and the window protocol are documented in DESIGN.md section 14.
 
 Entry points: ``NetworkSimulator.run(..., shards=N)`` (which delegates to
-:func:`repro.shard.engine.run_sharded`), ``--shards`` on the ``repro-bench``
-sweep commands, and the plan builders here for partition introspection.
+:func:`repro.shard.engine.run_sharded`) and ``--shards`` on the open-loop
+``repro-bench`` sweep commands.
 """
 
 from repro.shard.engine import run_sharded
@@ -17,8 +17,6 @@ from repro.shard.plan import (
     ShardPlan,
     host_plan,
     multistage_plan,
-    dragonfly_plan,
-    fattree_plan,
 )
 from repro.shard.runtime import ShardContext, shard_stream_seed
 
@@ -29,6 +27,4 @@ __all__ = [
     "shard_stream_seed",
     "host_plan",
     "multistage_plan",
-    "dragonfly_plan",
-    "fattree_plan",
 ]

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import traceback
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -331,7 +330,7 @@ def run_sharded(
     shards: int,
     until: Optional[float] = None,
     shard_latency_ns: float = 0.0,
-    backend: Optional[str] = None,
+    backend: str = "process",
 ) -> Any:
     """Execute ``net``'s submitted workload across ``shards`` kernels.
 
@@ -344,7 +343,7 @@ def run_sharded(
     paper Table VI) to widen the lookahead window.
 
     ``backend`` is ``"process"`` (default; requires fork) or ``"inline"``.
-    Both are bit-identical; ``REPRO_SHARD_BACKEND`` overrides the default.
+    Both are bit-identical.
     """
     if shards < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
@@ -372,8 +371,6 @@ def run_sharded(
     injections = _extract_injections(net, plan)
     recipe = net.shard_recipe()
 
-    if backend is None:
-        backend = os.environ.get("REPRO_SHARD_BACKEND", "process")
     if backend == "process" and "fork" not in multiprocessing.get_all_start_methods():
         backend = "inline"  # pragma: no cover - non-POSIX fallback
     if backend == "process":

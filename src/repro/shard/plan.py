@@ -2,8 +2,8 @@
 
 A :class:`ShardPlan` answers three questions for the window engine:
 
-* which shard owns each node (hosts always have an owner; fabric elements
-  are owned stage-wise, pod-wise, or group-wise depending on the family),
+* which shard owns each node (hosts always have an owner; Baldur's
+  switches are owned stage-wise),
 * what the conservative lookahead is (the minimum delay over all
   boundary-crossing edges — every cross-shard message generated at time
   ``t`` arrives no earlier than ``t + lookahead_ns``), and
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro import constants as C
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -34,13 +33,10 @@ __all__ = [
     "block_shard",
     "multistage_plan",
     "host_plan",
-    "dragonfly_plan",
-    "fattree_plan",
 ]
 
 Node = Tuple[Any, ...]
-"""A plan node: ``("host", h)``, ``("switch", stage, idx)``,
-``("router", rid)``, ``("edge"|"agg", pod, idx)``, or ``("core", c)``."""
+"""A plan node: ``("host", h)`` or ``("switch", stage, idx)``."""
 
 PlanEdge = Tuple[Node, Node, float]
 """One directed physical link: ``(src_node, dst_node, min_delay_ns)``."""
@@ -51,8 +47,8 @@ def block_shard(index: int, count: int, n_shards: int) -> int:
 
     ``index * n_shards // count`` keeps blocks contiguous and balanced to
     within one item, and is the single assignment rule used by every plan
-    builder (hosts, stages, pods, groups, cores all use it) so that the
-    mapping is trivially deterministic and documented.
+    builder (hosts and stages both use it) so that the mapping is
+    trivially deterministic and documented.
     """
     return index * n_shards // count
 
@@ -162,9 +158,8 @@ def multistage_plan(
     link_delay_ns: float,
     switch_latency_ns: float,
     cut_delay_ns: float = 0.0,
-    kind: str = "baldur",
 ) -> ShardPlan:
-    """Stage-cut plan for a multi-butterfly fabric (Baldur / electrical MB).
+    """Stage-cut plan for Baldur's multi-butterfly fabric.
 
     Stages are split into ``n_shards`` contiguous blocks; hosts into
     matching contiguous blocks, so the first host block is co-resident
@@ -226,7 +221,7 @@ def multistage_plan(
         ):
             min_cut = min(min_cut, switch_latency_ns + link_delay_ns)
     return ShardPlan(
-        kind,
+        "baldur",
         n_shards,
         host_shard,
         min_cut,
@@ -270,94 +265,3 @@ def host_plan(
     crossing = n_shards > 1 and len(set(host_shard)) > 1
     min_cut = hop_delay_ns if crossing else math.inf
     return ShardPlan(kind, n_shards, host_shard, min_cut, edge_fn, node_fn)
-
-
-def dragonfly_plan(topology: Any, n_shards: int) -> ShardPlan:
-    """Group-cut plan for a dragonfly: each group is atomic; groups are
-    split into contiguous blocks.  Partition-introspection only — the
-    buffered dragonfly simulator has zero-lookahead credit feedback and
-    cannot be executed sharded (DESIGN.md section 14)."""
-    groups = int(topology.groups)
-    a = int(topology.routers_per_group)
-    h = int(topology.h)
-    n_nodes = int(topology.n_nodes)
-    group_shard = [block_shard(g, groups, n_shards) for g in range(groups)]
-    host_shard = [
-        group_shard[topology.router_of_node(node)[0]] for node in range(n_nodes)
-    ]
-
-    def node_fn(node: Node) -> int:
-        if node[0] == "host":
-            return host_shard[node[1]]
-        if node[0] == "router":
-            return group_shard[node[1] // a]
-        raise ConfigurationError(f"unknown dragonfly plan node {node!r}")
-
-    def edge_fn() -> Iterator[PlanEdge]:
-        intra = C.DRAGONFLY_INTRA_GROUP_DELAY_NS
-        inter = C.DRAGONFLY_INTER_GROUP_DELAY_NS
-        for node in range(n_nodes):
-            g, local = topology.router_of_node(node)
-            yield ("host", node), ("router", topology.router_id(g, local)), intra
-        for g in range(groups):
-            for i in range(a):
-                rid = topology.router_id(g, i)
-                # Intra-group all-to-all, each unordered pair once.
-                for j in range(i + 1, a):
-                    yield ("router", rid), ("router", topology.router_id(g, j)), intra
-                # Global channels, enumerated once from the lower group id.
-                for link in range(h):
-                    peer = topology.global_peer(g, i, link)
-                    if g < peer.peer_group:
-                        yield (
-                            ("router", rid),
-                            ("router", topology.router_id(peer.peer_group, peer.peer_router)),
-                            inter,
-                        )
-
-    crossing = n_shards > 1 and len(set(group_shard)) > 1
-    min_cut = C.DRAGONFLY_INTER_GROUP_DELAY_NS if crossing else math.inf
-    return ShardPlan("dragonfly", n_shards, host_shard, min_cut, edge_fn, node_fn)
-
-
-def fattree_plan(topology: Any, n_shards: int) -> ShardPlan:
-    """Pod-cut plan for a fat-tree: pods split into contiguous blocks,
-    core switches block-distributed independently.  Partition-
-    introspection only, like :func:`dragonfly_plan`."""
-    k = int(topology.k)
-    half = int(topology.half)
-    n_core = int(topology.n_core)
-    n_nodes = int(topology.n_nodes)
-    pod_shard = [block_shard(p, k, n_shards) for p in range(k)]
-    core_shard = [block_shard(c, n_core, n_shards) for c in range(n_core)]
-    host_shard = [pod_shard[topology.locate_host(host)[0]] for host in range(n_nodes)]
-    host_delay, agg_delay, core_delay = C.FATTREE_LEVEL_DELAYS_NS
-
-    def node_fn(node: Node) -> int:
-        if node[0] == "host":
-            return host_shard[node[1]]
-        if node[0] in ("edge", "agg"):
-            return pod_shard[node[1]]
-        if node[0] == "core":
-            return core_shard[node[1]]
-        raise ConfigurationError(f"unknown fat-tree plan node {node!r}")
-
-    def edge_fn() -> Iterator[PlanEdge]:
-        for host in range(n_nodes):
-            pod, edge, _slot = topology.locate_host(host)
-            yield ("host", host), ("edge", pod, edge), host_delay
-        for pod in range(k):
-            for edge in range(half):
-                for agg in range(half):
-                    yield ("edge", pod, edge), ("agg", pod, agg), agg_delay
-            for agg in range(half):
-                for core in topology.cores_above_agg(agg):
-                    yield ("agg", pod, agg), ("core", core), core_delay
-
-    min_cut = math.inf
-    if n_shards > 1:
-        if len(set(pod_shard)) > 1 or any(
-            core_shard[c] != pod_shard[p] for p in range(k) for c in range(n_core)
-        ):
-            min_cut = core_delay
-    return ShardPlan("fattree", n_shards, host_shard, min_cut, edge_fn, node_fn)

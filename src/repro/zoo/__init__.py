@@ -1,44 +1,12 @@
-"""repro.zoo -- the plug-and-play architecture registry.
+"""repro.zoo -- the architecture table.
 
-A network architecture is a declarative quadruple
-``topology x routing x switch x scheduler``; :func:`build_network`
-resolves a name or config dict to a registered
-:class:`~repro.zoo.registry.ArchitectureSpec` and instantiates a
-simulator over the shared :class:`~repro.netsim.network.NetworkSimulator`
-substrate.  Importing this package registers the component vocabulary
-and the six stock architectures (the five Sec. V networks plus the
-RotorNet-style ``rotor``).
+:data:`ARCHITECTURES` maps a name to a builder and :func:`build_network`
+calls it: the five Sec. V networks plus the RotorNet-style ``rotor``,
+all over the shared :class:`~repro.netsim.network.NetworkSimulator`
+substrate.
 """
 
-from repro.zoo.architectures import register_architectures
-from repro.zoo.registry import (
-    ROUTINGS,
-    SCHEDULERS,
-    SWITCHES,
-    TOPOLOGIES,
-    ArchitectureSpec,
-    Component,
-    ComponentRegistry,
-    architecture,
-    architectures,
-    build_network,
-    register_architecture,
-)
+from repro.zoo.architectures import ARCHITECTURES, build_network
 from repro.zoo.rotor import RotorNetwork
 
-register_architectures()
-
-__all__ = [
-    "ArchitectureSpec",
-    "Component",
-    "ComponentRegistry",
-    "RotorNetwork",
-    "TOPOLOGIES",
-    "ROUTINGS",
-    "SWITCHES",
-    "SCHEDULERS",
-    "architecture",
-    "architectures",
-    "build_network",
-    "register_architecture",
-]
+__all__ = ["ARCHITECTURES", "build_network", "RotorNetwork"]

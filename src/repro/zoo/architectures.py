@@ -1,21 +1,17 @@
-"""The registered architectures: the five Sec. V networks plus rotor.
+"""The architecture table: name -> builder, five Sec. V networks plus rotor.
 
-The five legacy entries re-express the hand-wired simulators as registry
-quadruples.  Their builders construct the *same classes with the same
-arguments* as ``repro.analysis.experiments.build_network`` historically
-did, so registry-built networks are byte-identical to the hand-wired
-path -- pinned by the fig6/fig7 goldens, ``test_determinism.py``, and
-the registry↔legacy identity suite in ``tests/test_zoo.py``.
-
-The ``rotor`` entry is the first architecture assembled *from* zoo
-components rather than ported into the zoo: a
-:class:`~repro.topology.rotor.RotorTopology` rotation schedule driving
-:class:`~repro.zoo.rotor.RotorNetwork`'s matching-cycle scheduler.
+A builder is a pure function of ``(n_nodes, seed, **params)``: identical
+arguments must yield a simulator whose run produces byte-identical
+``StatsSummary`` JSON.  The five Sec. V builders construct the classes
+and arguments of the paper's Table VI configurations; the fig6/fig7/zoo
+goldens, ``test_determinism.py`` and the table↔hand-wired identity suite
+in ``tests/test_zoo.py`` pin that.  A builder's docstring is its entry in
+``repro-bench zoo --list``; table order is presentation order.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Dict
 
 from repro import constants as C
 from repro.core.baldur_network import BaldurNetwork
@@ -25,17 +21,17 @@ from repro.electrical import (
     IdealNetwork,
     MultiButterflyNetwork,
 )
+from repro.errors import ConfigurationError
 from repro.netsim.network import NetworkSimulator
-from repro.zoo.components import register_components
-from repro.zoo.registry import register_architecture
 from repro.zoo.rotor import RotorNetwork
 
-__all__ = ["register_architectures"]
-
-_registered = False
+__all__ = ["ARCHITECTURES", "build_network"]
 
 
 def _build_baldur(n_nodes: int, seed: int, **params: Any) -> NetworkSimulator:
+    """The paper's all-optical multi-butterfly (Sec. III): bufferless
+    tunable-laser 2x2 switch pairs, destination-tag steering over copies
+    tried least-loaded first, contention drops to the retry path."""
     return BaldurNetwork(
         n_nodes,
         multiplicity=params.pop("multiplicity", C.BALDUR_MULTIPLICITY),
@@ -47,6 +43,9 @@ def _build_baldur(n_nodes: int, seed: int, **params: Any) -> NetworkSimulator:
 def _build_multibutterfly(
     n_nodes: int, seed: int, **params: Any
 ) -> NetworkSimulator:
+    """Electrical baseline on the same multi-butterfly wiring: buffered
+    VC/credit switches, destination-tag steering with a random copy
+    chosen at injection."""
     return MultiButterflyNetwork(
         n_nodes,
         multiplicity=params.pop("multiplicity", C.BALDUR_MULTIPLICITY),
@@ -56,88 +55,53 @@ def _build_multibutterfly(
 
 
 def _build_dragonfly(n_nodes: int, seed: int, **params: Any) -> NetworkSimulator:
+    """Electrical dragonfly (Table VI): fully-connected router groups
+    joined by global links, buffered switches, UGAL choice of minimal vs
+    Valiant path by queue depth."""
     return DragonflyNetwork(n_nodes, seed=seed, **params)
 
 
 def _build_fattree(n_nodes: int, seed: int, **params: Any) -> NetworkSimulator:
+    """Electrical three-tier fat-tree (Table VI): folded Clos of buffered
+    edge/aggregation/core switches, up*/down* routing with adaptive
+    upward port choice."""
     return FatTreeNetwork(n_nodes, seed=seed, **params)
 
 
 def _build_ideal(n_nodes: int, seed: int, **params: Any) -> NetworkSimulator:
-    # The ideal network is seed-free: there is nothing random to build.
+    """Contention-free lower bound: a dedicated link per pair, so only
+    serialization and wire delay remain.  Seed-free: nothing random to
+    build."""
     return IdealNetwork(n_nodes, **params)
 
 
 def _build_rotor(n_nodes: int, seed: int, **params: Any) -> NetworkSimulator:
-    # Fully deterministic -- the rotation is a fixed function of time, so
-    # the seed only shapes the injected workload, never the network.
+    """RotorNet-style rotor crossbars cycling round-robin matchings in
+    slotted time (slot_ns connected + reconfig_ns dark): source VOQs
+    drain when the rotation connects src to dst; no in-network buffers,
+    no drops.  The rotation is a fixed function of time, so the seed only
+    shapes the injected workload, never the network."""
     return RotorNetwork(n_nodes, **params)
 
 
-def register_architectures() -> None:
-    """Populate the architecture registry (idempotent)."""
-    global _registered
-    if _registered:
-        return
-    _registered = True
-    register_components()
+ARCHITECTURES: Dict[str, Callable[..., NetworkSimulator]] = {
+    "baldur": _build_baldur,
+    "multibutterfly": _build_multibutterfly,
+    "dragonfly": _build_dragonfly,
+    "fattree": _build_fattree,
+    "ideal": _build_ideal,
+    "rotor": _build_rotor,
+}
 
-    register_architecture(
-        "baldur",
-        topology="multibutterfly",
-        routing="destination_tag_least_loaded",
-        switch="tl_optical_bufferless",
-        scheduler="event_driven",
-        builder=_build_baldur,
-        summary="the paper's all-optical multi-butterfly with "
-        "tunable-laser switching and retry",
-    )
-    register_architecture(
-        "multibutterfly",
-        topology="multibutterfly",
-        routing="destination_tag_random",
-        switch="electrical_buffered",
-        scheduler="event_driven",
-        builder=_build_multibutterfly,
-        summary="electrical buffered baseline on the same "
-        "multi-butterfly wiring",
-    )
-    register_architecture(
-        "dragonfly",
-        topology="dragonfly",
-        routing="ugal_adaptive",
-        switch="electrical_buffered",
-        scheduler="event_driven",
-        builder=_build_dragonfly,
-        summary="electrical dragonfly with UGAL adaptive routing "
-        "(Table VI comparison point)",
-    )
-    register_architecture(
-        "fattree",
-        topology="fattree",
-        routing="updown_adaptive",
-        switch="electrical_buffered",
-        scheduler="event_driven",
-        builder=_build_fattree,
-        summary="electrical three-tier fat-tree (Table VI comparison "
-        "point)",
-    )
-    register_architecture(
-        "ideal",
-        topology="ideal",
-        routing="direct",
-        switch="ideal_sink",
-        scheduler="event_driven",
-        builder=_build_ideal,
-        summary="contention-free lower bound: dedicated link per pair",
-    )
-    register_architecture(
-        "rotor",
-        topology="rotor",
-        routing="rotation_schedule",
-        switch="rotor_crossbar",
-        scheduler="matching_cycle",
-        builder=_build_rotor,
-        summary="RotorNet-style rotor switches cycling round-robin "
-        "matchings; schedulerless and bufferless in-network",
-    )
+
+def build_network(
+    name: str, n_nodes: int, seed: int = 0, **params: Any
+) -> NetworkSimulator:
+    """Build the named architecture; ``params`` go to its builder."""
+    builder = ARCHITECTURES.get(name) if isinstance(name, str) else None
+    if builder is None:
+        known = ", ".join(sorted(ARCHITECTURES))
+        raise ConfigurationError(
+            f"unknown architecture {name!r} (known: {known})"
+        )
+    return builder(n_nodes, seed, **params)

@@ -1,10 +1,10 @@
 """RotorNet-style packet simulator: rotor switches + matching-cycle scheduler.
 
-The first genuinely new architecture built *from* the zoo's components
-rather than ported into it: a :class:`~repro.topology.rotor.RotorTopology`
-rotation schedule, direct (single-hop) rotation routing, bufferless
-optical rotor crossbars, and a slotted matching-cycle scheduler over the
-shared :class:`~repro.netsim.network.NetworkSimulator` substrate.
+The one zoo architecture that is not a Sec. V network: a
+:class:`~repro.topology.rotor.RotorTopology` rotation schedule, direct
+(single-hop) rotation routing, bufferless optical rotor crossbars, and a
+slotted matching-cycle scheduler over the shared
+:class:`~repro.netsim.network.NetworkSimulator` substrate.
 
 Operation per slot of length ``slot_ns`` (followed by a ``reconfig_ns``
 dark window while the rotors step to their next matching):

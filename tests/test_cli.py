@@ -79,9 +79,11 @@ class TestCommands:
 
     def test_zoo_list(self, capsys):
         assert main(["zoo", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "baldur" in out and "rotor" in out
-        assert "matching_cycle" in out
+        from repro.zoo import ARCHITECTURES
+
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(ARCHITECTURES)
+        assert "round-robin matchings" in lines[-1]  # rotor's docstring
 
     def test_zoo_sweep_tiny(self, capsys):
         assert main([
@@ -139,6 +141,20 @@ class TestCommands:
             "trace", "--nodes", "16", "--packets", "2", "--pid", "999999",
         ]) != 0
         assert "no trace events" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["trace", "--network", "torus"],
+         "unknown architecture 'torus' (known: baldur, "),
+        (["diagnose", "--stage", "99"], "stage 99 out of range"),
+        (["fig6", "--jobs", "0"], "jobs must be >= 1"),
+    ], ids=["trace-network", "diagnose-stage", "fig6-jobs"])
+    def test_configuration_error_is_one_line_and_exit_2(
+        self, argv, message, capsys
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_fig6_multi_load_renders_ascii_plot(self, capsys):
         assert main([

@@ -207,6 +207,25 @@ class TestCrashRecovery:
         assert all(statuses[key] == "ok" for key in keys[1:])
         assert sweep.report.pool_rebuilds >= 3
 
+    def test_bystander_in_flight_at_every_crash_is_not_quarantined(self):
+        # keys[1] sleeps through each of its first dispatches, so it is
+        # still in flight whenever keys[0] kills the pool next to it.
+        spec = small_spec()
+        keys = job_keys(spec)
+        plan = WorkerFaultPlan(
+            actions={keys[0]: ("crash",) * 8, keys[1]: ("hang",) * 3},
+            hang_s=0.4,
+        )
+        sweep = run_sweep(
+            spec, jobs=2,
+            policy=FaultPolicy(on_error="record", crash_retries=2,
+                               backoff_base_s=0.0),
+            fault_plan=plan,
+        )
+        statuses = {o.job.key: o.status for o in sweep.outcomes}
+        assert statuses[keys[0]] == "quarantined"
+        assert all(statuses[key] == "ok" for key in keys[1:])
+
 
 class TestTimeouts:
     def test_hung_job_cancelled_within_budget_others_kept(self):

@@ -79,30 +79,6 @@ class TestPartitionInvariant:
             host_plan(n_nodes, n_shards, hop_delay_ns=200.0)
         )
 
-    @settings(**SMALL)
-    @given(
-        n_nodes=st.sampled_from([16, 36, 72]),
-        n_shards=st.integers(min_value=1, max_value=5),
-    )
-    def test_dragonfly(self, n_nodes, n_shards):
-        from repro.shard.plan import dragonfly_plan
-        from repro.topology.dragonfly import DragonflyTopology
-
-        topo = DragonflyTopology.for_nodes(n_nodes)
-        _recount_boundary(dragonfly_plan(topo, n_shards))
-
-    @settings(**SMALL)
-    @given(
-        n_nodes=st.sampled_from([16, 54, 128]),
-        n_shards=st.integers(min_value=1, max_value=5),
-    )
-    def test_fattree(self, n_nodes, n_shards):
-        from repro.shard.plan import fattree_plan
-        from repro.topology.fattree import FatTreeTopology
-
-        topo = FatTreeTopology.for_nodes(n_nodes)
-        _recount_boundary(fattree_plan(topo, n_shards))
-
 
 class TestLedgerEquivalence:
     @settings(**SMALL)

@@ -1,8 +1,8 @@
-"""Architecture-zoo tests: registry↔legacy identity, rotor behaviour,
-and registry/config validation.
+"""Architecture-zoo tests: table↔hand-wired identity, rotor behaviour,
+and name resolution.
 
 The identity suite is the zoo's load-bearing guarantee: for every one of
-the five Sec. V architectures, a registry-built network must produce
+the five Sec. V architectures, a table-built network must produce
 **byte-identical** ``StatsSummary`` canonical JSON to the hand-wired
 class on the fig6/fig7 golden cells.  Tolerances would hide drift; the
 comparison is string equality on the serialized summary (including the
@@ -101,86 +101,37 @@ def test_experiments_build_network_goes_through_registry():
     assert isinstance(net, RotorNetwork)
 
 
-# -- registry resolution and validation -----------------------------------------
+# -- the table ---------------------------------------------------------------------
 
 
 def test_registered_architectures():
-    assert zoo.architectures() == (
+    assert tuple(zoo.ARCHITECTURES) == (
         "baldur", "multibutterfly", "dragonfly", "fattree", "ideal",
         "rotor",
     )
 
 
-def test_unknown_architecture_lists_known_names():
-    with pytest.raises(ConfigurationError, match="baldur.*rotor"):
-        zoo.build_network("torus", 16)
+def test_every_builder_has_a_docstring():
+    # The docstring is the builder's `repro-bench zoo --list` entry.
+    for name, builder in zoo.ARCHITECTURES.items():
+        assert (builder.__doc__ or "").strip(), name
 
 
-def test_unknown_component_lists_known_names():
-    with pytest.raises(ConfigurationError, match="unknown topology"):
-        zoo.TOPOLOGIES.get("torus")
-
-
-def test_config_dict_with_architecture_key_and_overrides():
-    net = zoo.build_network({"architecture": "rotor", "n_rotors": 8}, 16)
+def test_builder_params_override():
+    net = zoo.build_network("rotor", 16, n_rotors=8)
     assert isinstance(net, RotorNetwork)
     assert net.n_rotors == 8
 
 
-def test_config_dict_with_component_quadruple():
-    net = zoo.build_network(
-        {
-            "topology": "dragonfly",
-            "routing": "ugal_adaptive",
-            "switch": "electrical_buffered",
-            "scheduler": "event_driven",
-        },
-        16,
-        seed=1,
-    )
-    assert isinstance(net, DragonflyNetwork)
+def test_non_string_name_rejected():
+    for name in (42, None, {"architecture": "rotor"}):
+        with pytest.raises(ConfigurationError, match="unknown architecture"):
+            zoo.build_network(name, 16)
 
 
-def test_config_dict_unmatched_quadruple_raises():
-    with pytest.raises(ConfigurationError, match="no registered"):
-        zoo.build_network(
-            {
-                "topology": "dragonfly",
-                "routing": "direct",
-                "switch": "ideal_sink",
-                "scheduler": "event_driven",
-            },
-            16,
-        )
-
-
-def test_config_dict_without_architecture_or_quadruple_raises():
-    with pytest.raises(ConfigurationError, match="architecture"):
-        zoo.build_network({"topology": "dragonfly"}, 16)
-
-
-def test_config_rejects_non_str_non_dict():
-    with pytest.raises(ConfigurationError, match="must be"):
-        zoo.build_network(42, 16)
-
-
-def test_spec_describe_names_all_four_components():
-    spec = zoo.architecture("rotor")
-    assert spec.describe() == (
-        "rotor: rotor x rotation_schedule x rotor_crossbar x "
-        "matching_cycle"
-    )
-    assert [c.kind for c in spec.components()] == [
-        "topology", "routing", "switch", "scheduler",
-    ]
-
-
-def test_duplicate_registration_rejected():
-    with pytest.raises(ConfigurationError, match="already registered"):
-        zoo.register_architecture(
-            "baldur", "ideal", "direct", "ideal_sink", "event_driven",
-            builder=lambda n, seed: None,
-        )
+def test_unknown_architecture_lists_known_names():
+    with pytest.raises(ConfigurationError, match="baldur.*rotor"):
+        zoo.build_network("torus", 16)
 
 
 # -- rotor topology --------------------------------------------------------------
