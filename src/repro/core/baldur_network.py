@@ -23,19 +23,22 @@ Latency results account for all drop/retransmission overheads (Sec. V-B).
 
 from __future__ import annotations
 
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import constants as C
 from repro.errors import ConfigurationError, ShardingUnsupportedError
 from repro.netsim.network import NetworkSimulator
 from repro.netsim.packet import ACK_SIZE_BYTES, Packet
+from repro.netsim.stats import LatencyStats
 from repro.shard.runtime import MSG_ARRIVE, MSG_DELIVER, shard_stream_seed
 from repro.sim.rand import stream
 from repro.tl.switch_circuit import switch_model
 from repro.topology.butterfly import MultiButterflyTopology
 
 __all__ = ["BaldurNetwork"]
+
+_INF = float("inf")
 
 DEFAULT_TIMEOUT_NS = 3000.0
 """Retransmission timeout: comfortably above the unloaded data+ACK RTT
@@ -74,7 +77,7 @@ class BaldurNetwork(NetworkSimulator):
         "_bit_table",
         "_last_stage",
         "_randrange",
-        "_getrandbits",
+        "_hop_lane",
         "_hot",
         "_nic_free_at",
         "_entry",
@@ -171,26 +174,11 @@ class BaldurNetwork(NetworkSimulator):
             s for s in range(self.topology.n_stages)
             if self.topology.is_last_stage(s)
         )
-        self._randrange = self._rng.randrange
-        self._getrandbits = self._rng.getrandbits
-        # All per-hop constants in one tuple: _arrive_stage unpacks it
-        # with a single attribute load instead of ~10 (everything here is
-        # immutable for the lifetime of the network; mutable/attachable
-        # state -- tracer, metrics, faults, masks -- is still read fresh
-        # from self on every call).
-        self._hot = (
-            sps,
-            self._last_stage,
-            multiplicity,
-            self._busy,
-            self._bit_table,
-            self._wiring,
-            self.switch_latency_ns,
-            self.link_delay_ns,
-            self.link_rate_gbps,
-            self._getrandbits,
-            self.env,
-        )
+        # Inter-stage hops are scheduled at now + switch_latency_ns with
+        # now non-decreasing, i.e. already in dispatch order: they queue on
+        # a kernel FIFO lane instead of the heap (see _arrive_stage).
+        self._hop_lane = self.env.lane()
+        self._bind_hot()
         # Host NICs serialize injections (data and ACKs share the NIC).
         self._nic_free_at = [0.0] * n_nodes
         # Entry switches, precomputed: _transmit runs once per attempt of
@@ -232,6 +220,32 @@ class BaldurNetwork(NetworkSimulator):
         # arbitration-mode checks into one read each; see
         # _refresh_hot_flags.
         self._refresh_hot_flags()
+
+    def _bind_hot(self) -> None:
+        """Bind the per-hop constants and the arbitration RNG's methods.
+
+        All per-hop constants live in one tuple: the hop handler unpacks
+        it with a single attribute load instead of ~10.  Everything in it
+        is immutable for the lifetime of the network except the RNG, which
+        _shard_bind swaps for the shard stream (and then calls this
+        again); mutable/attachable state -- tracer, metrics, faults, masks
+        -- is still read fresh from self on every call.
+        """
+        self._randrange = self._rng.randrange
+        self._hot = (
+            self._sps,
+            self._last_stage,
+            self.multiplicity,
+            self._busy,
+            self._bit_table,
+            self._wiring,
+            self.switch_latency_ns,
+            self.link_delay_ns,
+            self.link_rate_gbps,
+            self._rng.getrandbits,
+            self.env,
+            self._hop_lane,
+        )
 
     def _refresh_hot_flags(self) -> None:
         """Recompute the per-hop fast-path gates.
@@ -435,7 +449,7 @@ class BaldurNetwork(NetworkSimulator):
         so results are byte-identical across paths.
         """
         (sps, last_stage, m, busy, bits, wiring, switch_latency,
-         link_delay, rate, getrandbits, env) = self._hot
+         link_delay, rate, getrandbits, env, hop_lane) = self._hot
         now = env._now  # dispatch set the clock; skip the property hop
         fast = self._fast
         if fast:
@@ -564,61 +578,211 @@ class BaldurNetwork(NetworkSimulator):
         if injector is not None:
             latency += injector.extra_latency_ns(flat, now)
         # Delays below are sums of non-negative model constants, so the
-        # unvalidated inline heap push (Environment.schedule_at, open-coded
-        # to save a call per hop) is safe.
+        # unvalidated inline pushes (Environment.schedule_at, open-coded
+        # to save a call per hop) are safe.
         seq = env._seq
         env._seq = seq + 1
         ctx = self._shard_ctx
-        if ctx is None:
-            if last:
-                # Head exits to the host link; last byte lands after tx
-                # time.  The delay sum is grouped exactly as the
-                # pre-optimization schedule(delay) call computed it --
-                # float addition is not associative, and byte-identity
-                # demands identical rounding.
-                heappush(
-                    env._queue,
-                    (now + (latency + link_delay + tx), seq,
-                     self._deliver, (packet,)),
-                )
-            else:
-                heappush(
-                    env._queue,
-                    (now + latency, seq,
-                     self._arrive_stage, (packet, stage + 1, targets[k])),
-                )
-            return
-        # Sharded worker: forward across the cut when the next element is
-        # owned elsewhere.  Cut inter-stage hops carry the optional extra
-        # inter-cabinet fiber delay (ctx.cut_delay_ns; plan lookahead).
         if last:
+            # Head exits to the host link; last byte lands after tx
+            # time.  The delay sum is grouped exactly as the
+            # pre-optimization schedule(delay) call computed it --
+            # float addition is not associative, and byte-identity
+            # demands identical rounding.
             when = now + (latency + link_delay + tx)
-            dest = ctx.host_shard[packet.dst]
-            if dest == ctx.shard:
+            if (
+                ctx is None
+                or (dest := ctx.host_shard[packet.dst]) == ctx.shard
+            ):
                 heappush(env._queue, (when, seq, self._deliver, (packet,)))
             else:
+                # Sharded worker: the destination host is owned elsewhere.
                 ctx.send(
                     dest,
                     (MSG_DELIVER, when, packet.pid, packet.src, packet.dst,
                      packet.size_bytes, packet.create_time, packet.is_ack,
                      packet.acked_pid, packet.hops),
                 )
-        else:
-            dest = ctx.stage_shard[stage + 1]
-            if dest == ctx.shard:
-                heappush(
-                    env._queue,
-                    (now + latency, seq,
-                     self._arrive_stage, (packet, stage + 1, targets[k])),
-                )
+        elif ctx is None or (dest := ctx.stage_shard[stage + 1]) == ctx.shard:
+            item = (now + latency, seq,
+                    self._arrive_stage, (packet, stage + 1, targets[k]))
+            if latency == switch_latency:
+                # The hop lane: now never decreases and the delay is one
+                # constant, so this key is >= every key already on the
+                # lane and a plain append keeps it sorted.
+                hop_lane.append(item)
             else:
-                ctx.send(
-                    dest,
-                    (MSG_ARRIVE, now + (latency + ctx.cut_delay_ns),
-                     stage + 1, targets[k], packet.pid, packet.src,
-                     packet.dst, packet.size_bytes, packet.create_time,
-                     packet.is_ack, packet.acked_pid, packet.hops),
+                # A slow-gate fault stretched this hop: its key may
+                # overtake later appends, so the heap has to order it.
+                heappush(env._queue, item)
+        else:
+            # Sharded worker: the next stage is owned elsewhere.  Cut
+            # inter-stage hops carry the optional extra inter-cabinet
+            # fiber delay (ctx.cut_delay_ns; plan lookahead).
+            ctx.send(
+                dest,
+                (MSG_ARRIVE, now + (latency + ctx.cut_delay_ns),
+                 stage + 1, targets[k], packet.pid, packet.src,
+                 packet.dst, packet.size_bytes, packet.create_time,
+                 packet.is_ack, packet.acked_pid, packet.hops),
+            )
+
+    # -- the fused hop drain (DESIGN.md section 10) ----------------------------------
+
+    def run(
+        self,
+        until: Optional[float] = None,
+        shards: int = 1,
+        shard_latency_ns: float = 0.0,
+    ) -> LatencyStats:
+        """:meth:`NetworkSimulator.run`; a single-kernel run goes through
+        :meth:`_drain` first, for as long as that applies."""
+        if shards == 1:
+            self._drain(until)
+        return super().run(until, shards, shard_latency_ns)
+
+    def _drain(self, until: Optional[float]) -> None:
+        """Dispatch events here, with the fast hop handler inlined.
+
+        Taken when every hop would take ``_arrive_stage``'s fast path
+        anyway -- ``_fast`` holds, no shard context, no kernel profile, a
+        topology with precomputed tables, no subclass override of the
+        handler -- so the per-hop constants are unpacked once per run
+        instead of once per hop and a hop costs no Python call.  The loop
+        is :meth:`Environment.run`'s merge of the heap, the batch list and
+        the hop lane by ``(time, seq)``.  Every entry on the hop lane is
+        an ``_arrive_stage`` event (nothing else appends there), and so is
+        a heap entry with that callback (a first hop): those are handled
+        inline; everything else is dispatched as ``fn(*args)``.  Returns
+        -- leaving the rest to ``Environment.run`` -- as soon as a
+        callback leaves ``_fast`` false or enables profiling, ``until`` is
+        reached, or nothing is left.  The arbitration scan, the
+        ``_randbelow`` loop and the delay grouping are
+        ``_arrive_stage``'s, verbatim: same RNG draws, same float sums,
+        same ``(time, seq)`` keys.
+        """
+        (sps, last_stage, m, busy, bits, wiring, switch_latency,
+         link_delay, rate, getrandbits, env, hop_lane) = self._hot
+        if (
+            not self._fast
+            or self._shard_ctx is not None
+            or env._profile is not None
+            or bits is None
+            or wiring is None
+            or type(self)._arrive_stage is not BaldurNetwork._arrive_stage
+            or (until is not None and not env._now <= until < _INF)
+        ):
+            return  # Environment.run takes (or rejects) the whole run
+        horizon = (_INF if until is None else until, _INF)
+        queue = env._queue
+        run_list = env._run
+        rlen = len(run_list)
+        ridx = env._ridx
+        lane_append = hop_lane.append
+        lane_pop = hop_lane.popleft
+        arrive = self._arrive_stage
+        deliver = self._deliver
+        bound = None
+        env._running = True
+        try:
+            while True:
+                if bound is None:
+                    # The earliest entry off the lane -- the heap's head or
+                    # the batch list's, as in Environment.run; with none
+                    # inside the horizon, the horizon itself (no seq is
+                    # >= inf, so an event at exactly `until` still runs,
+                    # as Environment.run has it).  It stays valid until
+                    # it is dispatched: hops push nothing earlier without
+                    # replacing it, below.
+                    bound = horizon
+                    if queue and queue[0] < bound:
+                        bound = queue[0]
+                        in_heap = True
+                    if ridx < rlen and run_list[ridx] < bound:
+                        bound = run_list[ridx]
+                        in_heap = False
+                if hop_lane and hop_lane[0] < bound:
+                    hop = lane_pop()
+                elif bound is horizon:
+                    return  # nothing is left inside the horizon
+                else:
+                    hop = bound
+                    bound = None
+                    if in_heap:
+                        heappop(queue)
+                    else:
+                        ridx += 1
+                        env._ridx = ridx
+                    if hop[2] != arrive:
+                        env._now = hop[0]
+                        hop[2](*hop[3])
+                        if not self._fast or env._profile is not None:
+                            return
+                        continue
+                # _arrive_stage's fast path, inlined.
+                now = hop[0]
+                env._now = now
+                packet, stage, switch = hop[3]
+                bit = bits[packet.dst][stage]
+                base = ((stage * sps + switch) * 2 + bit) * m
+                n_free = 0
+                k = base
+                i = base
+                end = base + m
+                while i < end:
+                    if busy[i] <= now:
+                        n_free += 1
+                        k = i
+                    i += 1
+                if n_free == 0:
+                    self._drop_in_network(packet, stage=stage, switch=switch,
+                                          note="all ports busy")
+                    continue
+                if n_free > 1:
+                    nbits = n_free.bit_length()
+                    idx = getrandbits(nbits)
+                    while idx >= n_free:
+                        idx = getrandbits(nbits)
+                    if n_free == m:
+                        k = base + idx
+                    else:
+                        i = base
+                        while True:
+                            if busy[i] <= now:
+                                if idx == 0:
+                                    k = i
+                                    break
+                                idx -= 1
+                            i += 1
+                tx = (
+                    packet._tx_ns if packet._tx_rate == rate
+                    else packet.serialization_time_ns(rate)
                 )
+                busy[k] = now + tx
+                packet.hops += 1
+                # Delays are sums of non-negative model constants, as in
+                # _arrive_stage, so these unvalidated pushes are safe; the
+                # lane append also needs its key >= the lane's tail, which
+                # now + one constant with now non-decreasing guarantees.
+                seq = env._seq
+                env._seq = seq + 1
+                if stage == last_stage:
+                    item = (now + (switch_latency + link_delay + tx), seq,
+                            deliver, (packet,))
+                    heappush(queue, item)
+                    if bound is not None and item < bound:
+                        # Earlier than everything else off the lane: the
+                        # heap's new head, and the new bound.
+                        bound = item
+                        in_heap = True
+                else:
+                    lane_append(
+                        (now + switch_latency, seq, arrive,
+                         (packet, stage + 1,
+                          wiring[stage][switch][bit][k - base])),
+                    )
+        finally:
+            env._running = False
 
     def _drop_in_network(
         self,
@@ -838,22 +1002,7 @@ class BaldurNetwork(NetworkSimulator):
         seed = shard_stream_seed(root_seed, ctx.shard)
         self._rng = stream(seed, "baldur-arbitration")
         self._beb_rng = stream(seed, "baldur-beb")
-        self._randrange = self._rng.randrange
-        self._getrandbits = self._rng.getrandbits
-        # _hot caches _getrandbits; rebuild it with the shard stream.
-        self._hot = (
-            self._sps,
-            self._last_stage,
-            self.multiplicity,
-            self._busy,
-            self._bit_table,
-            self._wiring,
-            self.switch_latency_ns,
-            self.link_delay_ns,
-            self.link_rate_gbps,
-            self._getrandbits,
-            self.env,
-        )
+        self._bind_hot()
 
     def _shard_schedule_inbox(self, messages) -> None:
         env = self.env

@@ -74,10 +74,14 @@ FAST_PATH_ALLOWLIST = frozenset({
     ("repro.sim.core", "Environment.schedule"),
     ("repro.sim.core", "Environment.schedule_at"),
     ("repro.sim.core", "Environment.schedule_batch"),
+    ("repro.sim.core", "Environment.schedule_lane"),
     # PR 4's audited open-coded pushes (delays are sums of non-negative
     # model constants; see the inline safety comments at each site).
     ("repro.core.baldur_network", "BaldurNetwork._transmit"),
     ("repro.core.baldur_network", "BaldurNetwork._arrive_stage"),
+    # PR 24's fused hop drain: _arrive_stage's pushes, inlined (same
+    # delays; the hop-lane appends are now + one constant, so sorted).
+    ("repro.core.baldur_network", "BaldurNetwork._drain"),
 })
 """(module, qualname) pairs allowed to bypass kernel delay validation.
 
@@ -90,6 +94,7 @@ _SCHEDULING_ATTRS = frozenset({
     "schedule",
     "schedule_at",
     "schedule_batch",
+    "schedule_lane",
     "heappush",
 })
 """Calls that commit event order (DET-001's notion of 'feeds scheduling')."""
@@ -465,30 +470,70 @@ def check_slots(src: SourceFile) -> Iterator[Finding]:
 # -- FAST-001 ----------------------------------------------------------------
 
 
-def _queue_aliases(scope: ast.AST) -> Tuple[Set[str], Set[str]]:
-    """(names bound to ``*._queue``, names bound to ``heapq.heappush``)."""
+def _is_lane(node: ast.AST, lane_names: Set[str]) -> bool:
+    """Whether ``node`` names a kernel lane.
+
+    Lanes are recognised by name -- an attribute or variable called
+    ``lane`` or ``*_lane`` -- or by being bound from an ``env.lane()``
+    call; hot-path code that unpacks a lane out of a tuple keeps the
+    naming convention so this stays true.
+    """
+    if isinstance(node, ast.Attribute):
+        ident = node.attr
+    elif isinstance(node, ast.Name):
+        ident = node.id
+    else:
+        return False
+    return ident == "lane" or ident.endswith("_lane") or ident in lane_names
+
+
+def _is_lane_append(node: ast.AST, lane_names: Set[str]) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "append"
+        and _is_lane(node.value, lane_names)
+    )
+
+
+def _push_aliases(
+    scope: ast.AST,
+) -> Tuple[Set[str], Set[str], Set[str], Set[str]]:
+    """Names bound to ``*._queue``, to ``heapq.heappush``, to ``*.lane()``
+    and to a lane's ``append``."""
+    bindings = [
+        ([t.id for t in node.targets if isinstance(t, ast.Name)], node.value)
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Assign)
+    ]
+    # Lanes first: an append alias may go through a lane alias.
+    lanes: Set[str] = set()
+    for targets, value in bindings:
+        if (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "lane"
+        ):
+            lanes.update(targets)
     queues: Set[str] = set()
     pushes: Set[str] = set()
-    for node in ast.walk(scope):
-        if not isinstance(node, ast.Assign):
+    appends: Set[str] = set()
+    for targets, value in bindings:
+        if not isinstance(value, ast.Attribute):
             continue
-        value = node.value
-        targets = [
-            t.id for t in node.targets if isinstance(t, ast.Name)
-        ]
-        if not targets:
-            continue
-        if isinstance(value, ast.Attribute) and value.attr == "_queue":
+        if value.attr == "_queue":
             queues.update(targets)
-        elif isinstance(value, ast.Attribute) and value.attr == "heappush":
+        elif value.attr == "heappush":
             pushes.update(targets)
-    return queues, pushes
+        elif _is_lane_append(value, lanes):
+            appends.update(targets)
+    return queues, pushes, lanes, appends
 
 
 def fast_path_sites(
     src: SourceFile,
 ) -> Iterator[Tuple[str, ast.Call]]:
-    """Every open-coded ``heappush`` onto an event queue in ``src``.
+    """Every open-coded push onto an event queue or kernel lane in ``src``:
+    a ``heappush`` onto ``*._queue``, or an ``append`` onto a lane.
 
     Yields ``(qualname, call_node)``.  FAST-001 flags the sites missing from
     :data:`FAST_PATH_ALLOWLIST`; STALE-001 (``repro.lint.flow``) flags
@@ -496,19 +541,26 @@ def fast_path_sites(
     share one definition of "site" and cannot drift.
     """
     imports = ImportMap(src.tree)
-    # Conservative whole-file alias sets: a name bound to ``*._queue`` or
-    # ``heapq.heappush`` anywhere marks it suspect everywhere (no
-    # per-scope dataflow; over-flagging is the safe direction here, and
-    # the escape hatch is the allowlist, not evasion).
-    queue_names, push_names = _queue_aliases(src.tree)
+    # Conservative whole-file alias sets: a name bound to ``*._queue``,
+    # ``heapq.heappush``, a lane or a lane's ``append`` anywhere marks it
+    # suspect everywhere (no per-scope dataflow; over-flagging is the safe
+    # direction here, and the escape hatch is the allowlist, not evasion).
+    queue_names, push_names, lane_names, append_names = _push_aliases(
+        src.tree
+    )
     for node, qual in walk_with_qualname(src.tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        is_heappush = imports.resolve(func) == "heapq.heappush" or (
+        if _is_lane_append(func, lane_names) or (
+            isinstance(func, ast.Name) and func.id in append_names
+        ):
+            yield qual, node
+            continue
+        is_push = imports.resolve(func) == "heapq.heappush" or (
             isinstance(func, ast.Name) and func.id in push_names
         )
-        if not is_heappush or not node.args:
+        if not is_push or not node.args:
             continue
         target = node.args[0]
         onto_queue = (
@@ -523,13 +575,15 @@ def fast_path_sites(
     "unvalidated event-queue push outside the audited allowlist",
 )
 def check_fast_path(src: SourceFile) -> Iterator[Finding]:
-    """Keep open-coded heap pushes enumerable.
+    """Keep open-coded event pushes enumerable.
 
     A direct ``heappush(env._queue, ...)`` skips the kernel's
-    NaN/negative-delay validation; each such call site must be audited
-    (delay provably finite and >= now) and listed in
-    :data:`FAST_PATH_ALLOWLIST`.  Anything else should call
-    ``Environment.schedule``/``schedule_at``/``schedule_batch``.
+    NaN/negative-delay validation, and a direct ``lane.append(...)``
+    also skips the tail guard that keeps a lane sorted; each such call
+    site must be audited (delay provably finite and >= now; lane keys
+    provably non-decreasing) and listed in :data:`FAST_PATH_ALLOWLIST`.
+    Anything else should call ``Environment.schedule``/``schedule_at``/
+    ``schedule_batch``/``schedule_lane``.
     """
     for qual, node in fast_path_sites(src):
         if (src.module, qual) in FAST_PATH_ALLOWLIST:
@@ -537,9 +591,10 @@ def check_fast_path(src: SourceFile) -> Iterator[Finding]:
         yield src.finding(
             "FAST-001",
             node,
-            "open-coded heappush onto an event queue bypasses kernel "
-            "validation; call schedule()/schedule_at() or add this "
-            "audited site to repro.lint.checkers.FAST_PATH_ALLOWLIST",
+            "open-coded push onto an event queue or lane bypasses kernel "
+            "validation; call schedule()/schedule_at()/schedule_lane() or "
+            "add this audited site to "
+            "repro.lint.checkers.FAST_PATH_ALLOWLIST",
         )
 
 

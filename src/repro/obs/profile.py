@@ -6,8 +6,11 @@ is enabled on an :class:`~repro.sim.Environment` via
 :meth:`~repro.sim.Environment.enable_profiling` and then observes every
 dispatched callback:
 
-* ``events_dispatched`` -- total queue pops;
-* ``max_heap_depth`` -- peak event-queue length (memory pressure proxy);
+* ``events_dispatched`` -- total events dispatched;
+* ``max_heap_depth`` -- peak number of *pending events* (memory pressure
+  proxy): the heap plus the unconsumed ``schedule_batch`` list plus every
+  FIFO lane, so the count does not depend on which of the three an event
+  waits in -- despite the name, it is not the heap's length;
 * per-callback-type call counts and accumulated wall time, keyed by the
   callback's ``__qualname__`` (``BaldurNetwork._arrive_stage``,
   ``OutputPort._on_sent``, ...), which is exactly the breakdown needed to
@@ -41,7 +44,10 @@ class KernelProfile:
     def dispatch(
         self, fn: Callable[..., Any], args: Tuple[Any, ...], depth: int
     ) -> None:
-        """Run one callback under measurement (called by the kernel)."""
+        """Run one callback under measurement (called by the kernel).
+
+        ``depth`` is the number of pending events, this one included.
+        """
         self.events_dispatched += 1
         if depth > self.max_heap_depth:
             self.max_heap_depth = depth

@@ -252,15 +252,11 @@ def _extract_injections(net: Any, plan: ShardPlan) -> List[_Injections]:
     """Pull the submitted-but-unrun injection events off the parent kernel.
 
     ``submit``/``submit_batch`` leave ``(when, seq, net._inject, (packet,))``
-    entries on the environment's batch side-list and/or heap.  Anything
-    else pending means the caller scheduled custom events the shards
-    cannot replay — refuse loudly.
+    entries on the environment.  Anything else pending means the caller
+    scheduled custom events the shards cannot replay — refuse loudly.
     """
-    env = net.env
     entries: List[Tuple[float, int, Any]] = []
-    pending = list(env._queue) + list(env._run[env._ridx :])
-    for item in pending:
-        when, seq, fn, args = item
+    for when, seq, fn, args in net.env.pending():
         if fn != net._inject or len(args) != 1:
             raise ShardingUnsupportedError(
                 "sharded run requires a pending event queue containing only "

@@ -68,7 +68,7 @@ class TestRuleFixtures:
         ("CLK-001", SIM / "clock_bad.py", SIM / "clock_clean.py", 3),
         ("DET-001", SIM / "det_bad.py", SIM / "det_clean.py", 2),
         ("SLOTS-001", NETSIM / "slots_bad.py", NETSIM / "slots_clean.py", 1),
-        ("FAST-001", SIM / "fast_bad.py", SIM / "fast_clean.py", 2),
+        ("FAST-001", SIM / "fast_bad.py", SIM / "fast_clean.py", 4),
         ("JSON-001", RUNNER / "json_bad.py", RUNNER / "json_clean.py", 2),
         ("SEED-001", BENCH / "seed_bad.py", BENCH / "seed_clean.py", 3),
         ("MERGE-001", SHARD / "merge_bad.py", SHARD / "merge_clean.py", 3),

@@ -1,6 +1,10 @@
 """Tests for the discrete-event kernel (repro.sim.core)."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.sim
 from repro.electrical import IdealNetwork
@@ -292,3 +296,134 @@ class TestScheduleBatch:
         env.schedule(1.0, first)
         env.run()
         assert order == ["first", "early", "late"]
+
+
+# -- FIFO lanes -----------------------------------------------------------------
+
+# Few distinct delays, so a lane sees equal, rising and *falling* keys and
+# the sources tie often.
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.5])
+_LEAF = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.just("schedule_at"), _DELAYS),
+    st.tuples(st.just("lane"), _DELAYS, st.integers(0, 1)),
+    st.tuples(st.just("batch"), st.lists(_DELAYS, max_size=4)),
+)
+# A step schedules something whose callback schedules `children`, or runs
+# the environment for a while.
+_STEP = st.one_of(
+    st.tuples(_LEAF, st.lists(_LEAF, max_size=3)),
+    st.tuples(st.just("run"), _DELAYS),
+)
+
+
+def _drive(program, use_lanes):
+    """Execute ``program``; lane pushes go to real lanes or to the heap."""
+    env = Environment()
+    lanes = [env.lane(), env.lane()] if use_lanes else []
+    log = []
+    tags = itertools.count()
+
+    def callback(children=()):
+        tag = next(tags)
+
+        def fire():
+            log.append((env.now, tag))
+            for child in children:
+                issue(child)
+
+        return fire
+
+    def issue(leaf, children=()):
+        kind, arg = leaf[0], leaf[1]
+        if kind == "schedule":
+            env.schedule(arg, callback(children))
+        elif kind == "schedule_at":
+            env.schedule_at(env.now + arg, callback(children))
+        elif kind == "lane" and use_lanes:
+            env.schedule_lane(lanes[leaf[2]], arg, callback(children))
+        elif kind == "lane":
+            env.schedule(arg, callback(children))
+        else:
+            env.schedule_batch(
+                [(env.now + d, callback(children), ()) for d in arg]
+            )
+
+    def snapshot():
+        pending = sorted((t, seq) for t, seq, _, _ in env.pending())
+        return ("state", env.now, env.peek(), env.empty(), pending)
+
+    for step in program:
+        if step[0] == "run":
+            env.run(until=env.now + step[1])
+        else:
+            issue(*step)
+        log.append(snapshot())
+    env.run()
+    log.append(snapshot())
+    for lane in lanes:
+        assert not lane
+    return log
+
+
+class TestLanes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_STEP, max_size=25))
+    def test_lanes_cannot_reorder(self, program):
+        """Same program, same dispatch sequence and same peek()/empty()/
+        pending() after every step, whether lane pushes wait on lanes or
+        on the heap -- including pushes that would un-sort a lane."""
+        assert _drive(program, True) == _drive(program, False)
+
+    def test_lane_events_run_in_time_then_fifo_order(self):
+        env = Environment()
+        lane = env.lane()
+        order = []
+        env.schedule(2.0, order.append, "heap-2")
+        env.schedule_lane(lane, 1.0, order.append, "lane-1")
+        env.schedule_lane(lane, 2.0, order.append, "lane-2")
+        env.schedule_batch([(1.0, order.append, ("batch-1",))])
+        assert env.peek() == 1.0
+        assert len(list(env.pending())) == 4
+        env.run(until=1.0)
+        assert order == ["lane-1", "batch-1"]
+        assert not env.empty() and env.peek() == 2.0
+        env.run()
+        assert order == ["lane-1", "batch-1", "heap-2", "lane-2"]
+        assert env.empty()
+
+    def test_out_of_order_push_falls_back_to_the_heap(self):
+        env = Environment()
+        lane = env.lane()
+        env.schedule_lane(lane, 5.0, lambda: None)
+        env.schedule_lane(lane, 1.0, lambda: None)  # before the lane's tail
+        env.schedule_lane(lane, 5.0, lambda: None)  # equal keys may follow
+        assert [item[0] for item in lane] == [5.0, 5.0]
+        assert env.peek() == 1.0
+
+    @pytest.mark.parametrize("delay", [
+        float("nan"), float("inf"), -float("inf"), -1.0,
+    ])
+    def test_schedule_lane_rejects_bad_delays(self, delay):
+        env = Environment()
+        lane = env.lane()
+        with pytest.raises(SimulationError):
+            env.schedule_lane(lane, delay, lambda: None)
+        assert not lane and env.empty()
+
+    def test_lane_cannot_be_created_mid_run(self):
+        env = Environment()
+        env.schedule(1.0, env.lane)
+        with pytest.raises(SimulationError):
+            env.run()
+
+    def test_profile_depth_counts_lane_entries(self):
+        env = Environment()
+        lane = env.lane()
+        profile = env.enable_profiling()
+        for _ in range(3):
+            env.schedule_lane(lane, 1.0, lambda: None)
+        env.schedule(1.0, lambda: None)
+        env.run()
+        assert profile.events_dispatched == 4
+        assert profile.max_heap_depth == 4
