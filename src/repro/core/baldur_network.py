@@ -30,7 +30,6 @@ from repro import constants as C
 from repro.errors import ConfigurationError, ShardingUnsupportedError
 from repro.netsim.network import NetworkSimulator
 from repro.netsim.packet import ACK_SIZE_BYTES, Packet
-from repro.netsim.stats import LatencyStats
 from repro.shard.runtime import MSG_ARRIVE, MSG_DELIVER, shard_stream_seed
 from repro.sim.rand import stream
 from repro.tl.switch_circuit import switch_model
@@ -58,7 +57,7 @@ within this window share one ACK (Sec. VIII extension)."""
 class BaldurNetwork(NetworkSimulator):
     """Packet simulator for Baldur."""
 
-    # Every attribute read in _arrive_stage/_deliver/_transmit resolves
+    # Every attribute read in _drain/_deliver/_transmit resolves
     # through slots (see NetworkSimulator.__slots__).
     __slots__ = (
         "topology",
@@ -76,9 +75,7 @@ class BaldurNetwork(NetworkSimulator):
         "_wiring",
         "_bit_table",
         "_last_stage",
-        "_randrange",
         "_hop_lane",
-        "_hot",
         "_nic_free_at",
         "_entry",
         "_pending",
@@ -99,8 +96,6 @@ class BaldurNetwork(NetworkSimulator):
         "masked_switches",
         "_given_up_pids",
         "unreachable",
-        "_quiet",
-        "_slow_arb",
         "_fast",
         "_tx_cache",
         "_seed",
@@ -162,11 +157,11 @@ class BaldurNetwork(NetworkSimulator):
         self._busy: List[float] = (
             [0.0] * (self.topology.n_stages * sps * 2 * multiplicity)
         )
-        # Hot-path bindings (see _arrive_stage): per-hop method/attribute
-        # lookups resolved once here.  _wiring/_bit_table are None for
-        # topologies without those tables (e.g. Benes, whose routing_bit
-        # draws RNG and so cannot be precomputed) -- the per-hop code then
-        # falls back to the topology's methods.
+        # Per-hop lookups resolved once here.  _wiring/_bit_table are None
+        # for topologies without those tables (e.g. Benes, whose
+        # routing_bit draws RNG and so cannot be precomputed) -- their hops
+        # then take _arrive_stage, which falls back to the topology's
+        # methods.
         self._sps = sps
         self._wiring = getattr(self.topology, "wiring", None)
         self._bit_table = getattr(self.topology, "bit_table", None)
@@ -176,9 +171,8 @@ class BaldurNetwork(NetworkSimulator):
         )
         # Inter-stage hops are scheduled at now + switch_latency_ns with
         # now non-decreasing, i.e. already in dispatch order: they queue on
-        # a kernel FIFO lane instead of the heap (see _arrive_stage).
+        # a kernel FIFO lane instead of the heap (see _drain).
         self._hop_lane = self.env.lane()
-        self._bind_hot()
         # Host NICs serialize injections (data and ACKs share the NIC).
         self._nic_free_at = [0.0] * n_nodes
         # Entry switches, precomputed: _transmit runs once per attempt of
@@ -216,63 +210,31 @@ class BaldurNetwork(NetworkSimulator):
         # rate: first transmits and ACKs hit this dict instead of
         # re-deriving the wire time per packet.
         self._tx_cache: Dict[int, float] = {}
-        # _quiet/_slow_arb compress the per-hop observability and
-        # arbitration-mode checks into one read each; see
-        # _refresh_hot_flags.
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
-    def _bind_hot(self) -> None:
-        """Bind the per-hop constants and the arbitration RNG's methods.
+    def _refresh_fast(self) -> None:
+        """Recompute ``_fast``: whether hops may take :meth:`_drain`.
 
-        All per-hop constants live in one tuple: the hop handler unpacks
-        it with a single attribute load instead of ~10.  Everything in it
-        is immutable for the lifetime of the network except the RNG, which
-        _shard_bind swaps for the shard stream (and then calls this
-        again); mutable/attachable state -- tracer, metrics, faults, masks
-        -- is still read fresh from self on every call.
+        False while a hop has anything to report to or obey -- a tracer,
+        metrics, a fault injector or injected faults, masked switches,
+        test mode, path recording -- and for a topology without
+        ``bit_table``/``wiring`` tables or a subclass that overrides
+        :meth:`_arrive_stage`; those hops take :meth:`_arrive_stage`.
+        Every mutation point -- attach_tracer/attach_metrics/attach_faults
+        via the _install hooks, inject_fault, mask_switch/unmask_switch,
+        enable_test_mode, record_paths -- refreshes it.
         """
-        self._randrange = self._rng.randrange
-        self._hot = (
-            self._sps,
-            self._last_stage,
-            self.multiplicity,
-            self._busy,
-            self._bit_table,
-            self._wiring,
-            self.switch_latency_ns,
-            self.link_delay_ns,
-            self.link_rate_gbps,
-            self._rng.getrandbits,
-            self.env,
-            self._hop_lane,
-        )
-
-    def _refresh_hot_flags(self) -> None:
-        """Recompute the per-hop fast-path gates.
-
-        ``_quiet`` is True when no observer/fault machinery is attached
-        (skip the whole _arrive_stage preamble); ``_slow_arb`` is True
-        when arbitration needs the explicit free-port list.  Every
-        mutation point -- attach_tracer/attach_metrics/attach_faults via
-        the _install hooks, inject_fault, mask_switch/unmask_switch,
-        enable_test_mode -- refreshes both, so the hot loop reads one
-        slot instead of five.
-        """
-        self._quiet = (
+        self._fast = (
             self.tracer is None
             and self.metrics is None
             and self.fault_injector is None
             and not self.faulty_switches
-        )
-        self._slow_arb = (
-            self.test_port is not None
-            or bool(self.masked_switches)
-            or self.metrics is not None
-        )
-        # One combined gate for the hottest call: when set, _arrive_stage
-        # skips its entire preamble with a single slot read.
-        self._fast = (
-            self._quiet and not self._slow_arb and not self._record_paths
+            and not self.masked_switches
+            and self.test_port is None
+            and not self._record_paths
+            and self._bit_table is not None
+            and self._wiring is not None
+            and type(self)._arrive_stage is BaldurNetwork._arrive_stage
         )
 
     @property
@@ -283,15 +245,15 @@ class BaldurNetwork(NetworkSimulator):
     @record_paths.setter
     def record_paths(self, value: bool) -> None:
         self._record_paths = bool(value)
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
     def _install_obs(self) -> None:
         super()._install_obs()
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
     def _install_faults(self) -> None:
         super()._install_faults()
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
     # -- fault injection and diagnosis support (Sec. IV-F) ------------------
 
@@ -302,7 +264,7 @@ class BaldurNetwork(NetworkSimulator):
         if not 0 <= switch < self.topology.switches_per_stage:
             raise ConfigurationError(f"switch {switch} out of range")
         self.faulty_switches.add((stage, switch))
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
     def mask_switch(self, stage: int, switch: int) -> None:
         """Degraded mode (Sec. IV-F): exclude a diagnosed switch from
@@ -316,12 +278,12 @@ class BaldurNetwork(NetworkSimulator):
         if not 0 <= switch < self.topology.switches_per_stage:
             raise ConfigurationError(f"switch {switch} out of range")
         self.masked_switches.add((stage, switch))
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
     def unmask_switch(self, stage: int, switch: int) -> None:
         """Return a repaired switch to service."""
         self.masked_switches.discard((stage, switch))
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
     def switch_ids(self) -> List[int]:
         """Flat ids of every 2x2 switch (stage-major, as in diagnosis)."""
@@ -338,7 +300,7 @@ class BaldurNetwork(NetworkSimulator):
                 f"test port {port} out of range [0, {self.multiplicity})"
             )
         self.test_port = port
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
     def flat_switch_id(self, stage: int, switch: int) -> int:
         """Flat id used in recorded paths."""
@@ -437,133 +399,77 @@ class BaldurNetwork(NetworkSimulator):
     def _arrive_stage(self, packet: Packet, stage: int, switch: int) -> None:
         """Packet header reaches (stage, switch): arbitrate and forward.
 
-        This is the simulator's hottest function (one call per packet per
-        stage), so it is engineered as a fast/slow split (DESIGN.md
-        section 10).  The fast path -- no test mode, no masked switches,
-        no metrics -- arbitrates with an allocation-free two-pass scan of
-        the flat ``_busy`` array; the slow path builds the explicit
-        free-port list that masking/test-mode filtering and the metrics
-        occupancy gauge need.  Both consume the arbitration RNG
-        identically (one ``randrange(n_free)`` draw iff more than one
-        port is free, picking the idx-th free port in ascending order),
-        so results are byte-identical across paths.
+        The instrumented hop handler (DESIGN.md section 10).  Hops come
+        here only when :meth:`_drain` cannot take them: while ``_fast``
+        is false (tracer, metrics, faults, masks, test mode, path
+        recording, a topology without tables, a subclass override), with
+        a kernel profile attached, and for whatever is left after a
+        mid-run hand-over.  Arbitration builds the explicit free-port
+        list that test mode, masking and the metrics occupancy gauge
+        need and draws ``randrange(n_free)`` iff more than one port is
+        free -- CPython's ``_randbelow``, the same draws as the drain's
+        scan -- so results are byte-identical to a drained run.
         """
-        (sps, last_stage, m, busy, bits, wiring, switch_latency,
-         link_delay, rate, getrandbits, env, hop_lane) = self._hot
-        now = env._now  # dispatch set the clock; skip the property hop
-        fast = self._fast
-        if fast:
-            tracer = metrics = injector = None
-        else:
-            if self._record_paths:
-                self.paths.setdefault(packet.pid, []).append(
-                    stage * sps + switch
-                )
-            tracer = self.tracer
-            metrics = self.metrics
-            injector = self.fault_injector
-            faulty = self.faulty_switches
-            flat = stage * sps + switch
-            if tracer is not None:
-                tracer.record(
-                    now, "stage_arrival", packet, switch=flat, stage=stage
-                )
-            if metrics is not None:
-                metrics.incr("arrivals", flat, now)
-            if (stage, switch) in faulty or (
-                injector is not None and injector.check_drop(flat, now)
-            ):
-                self._drop_in_network(packet, stage=stage, switch=switch,
-                                      note="fault")
-                return
+        env = self.env
+        now = env._now
+        flat = stage * self._sps + switch
+        if self._record_paths:
+            self.paths.setdefault(packet.pid, []).append(flat)
+        tracer = self.tracer
+        metrics = self.metrics
+        injector = self.fault_injector
+        if tracer is not None:
+            tracer.record(now, "stage_arrival", packet, switch=flat, stage=stage)
+        if metrics is not None:
+            metrics.incr("arrivals", flat, now)
+        if (stage, switch) in self.faulty_switches or (
+            injector is not None and injector.check_drop(flat, now)
+        ):
+            self._drop_in_network(packet, stage=stage, switch=switch,
+                                  note="fault")
+            return
+        bits = self._bit_table
         bit = (
             bits[packet.dst][stage]
             if bits is not None
             else self.topology.routing_bit(packet.dst, stage)
         )
-        last = stage == last_stage
+        last = stage == self._last_stage
+        wiring = self._wiring
         targets = (
             wiring[stage][switch][bit]
             if wiring is not None
             else self.topology.next_switches(stage, switch, bit)
         )
-        base = ((stage * sps + switch) * 2 + bit) * m
-        if not fast and self._slow_arb:
-            # Slow path: the explicit free-port list.  Test mode pins one
-            # port, degraded mode filters ports by masked target, and the
-            # metrics occupancy gauge needs the full free count.
-            if self.test_port is not None:
-                free = (
-                    [self.test_port]
-                    if busy[base + self.test_port] <= now else []
-                )
-            else:
-                free = [k for k in range(m) if busy[base + k] <= now]
-                if self.masked_switches and not last:
-                    # Degraded mode: never forward into a masked switch.
-                    free = [
-                        k for k in free
-                        if (stage + 1, targets[k]) not in self.masked_switches
-                    ]
-            if metrics is not None:
-                n_busy = m - len(free)
-                metrics.observe_max("occupancy_ports", flat, now, n_busy)
-                if n_busy:
-                    metrics.incr("arb_conflicts", flat, now)
-            if not free:
-                if tracer is not None:
-                    tracer.record(
-                        now, "arb_loss", packet, switch=flat, stage=stage
-                    )
-                self._drop_in_network(packet, stage=stage, switch=switch,
-                                      note="all ports busy")
-                return
-            n_free = len(free)
-            k = free[self._randrange(n_free)] if n_free > 1 else free[0]
+        m = self.multiplicity
+        busy = self._busy
+        base = (flat * 2 + bit) * m
+        # Test mode pins one port, degraded mode filters ports by masked
+        # target.
+        if self.test_port is not None:
+            free = [self.test_port] if busy[base + self.test_port] <= now else []
         else:
-            # Fast path: count the free ports without building a list.
-            n_free = 0
-            k = base
-            i = base
-            end = base + m
-            while i < end:
-                if busy[i] <= now:
-                    n_free += 1
-                    k = i
-                i += 1
-            if n_free == 0:
-                if tracer is not None:
-                    tracer.record(
-                        now, "arb_loss", packet, switch=flat, stage=stage
-                    )
-                self._drop_in_network(packet, stage=stage, switch=switch,
-                                      note="all ports busy")
-                return
-            if n_free > 1:
-                # Same draw as the list path: pick the idx-th free port
-                # in ascending order.  randrange(n) is inlined as
-                # CPython's Random._randbelow rejection loop (draw
-                # bit_length(n) bits, reject >= n) -- verbatim, so the
-                # RNG stream stays byte-identical while skipping two
-                # Python call frames per arbitration.
-                nbits = n_free.bit_length()
-                idx = getrandbits(nbits)
-                while idx >= n_free:
-                    idx = getrandbits(nbits)
-                if n_free == m:
-                    # Every port is free (the common case at light load):
-                    # the idx-th free port is simply port idx.
-                    k = base + idx
-                else:
-                    i = base
-                    while True:
-                        if busy[i] <= now:
-                            if idx == 0:
-                                k = i
-                                break
-                            idx -= 1
-                        i += 1
-            k -= base
+            free = [k for k in range(m) if busy[base + k] <= now]
+            if self.masked_switches and not last:
+                # Degraded mode: never forward into a masked switch.
+                free = [
+                    k for k in free
+                    if (stage + 1, targets[k]) not in self.masked_switches
+                ]
+        if metrics is not None:
+            n_busy = m - len(free)
+            metrics.observe_max("occupancy_ports", flat, now, n_busy)
+            if n_busy:
+                metrics.incr("arb_conflicts", flat, now)
+        if not free:
+            if tracer is not None:
+                tracer.record(now, "arb_loss", packet, switch=flat, stage=stage)
+            self._drop_in_network(packet, stage=stage, switch=switch,
+                                  note="all ports busy")
+            return
+        n_free = len(free)
+        k = free[self._rng.randrange(n_free)] if n_free > 1 else free[0]
+        rate = self.link_rate_gbps
         tx = (
             packet._tx_ns if packet._tx_rate == rate
             else packet.serialization_time_ns(rate)
@@ -574,105 +480,92 @@ class BaldurNetwork(NetworkSimulator):
                 now, "arb_win", packet, switch=flat, stage=stage, port=k
             )
         packet.hops += 1
-        latency = switch_latency
+        switch_latency = latency = self.switch_latency_ns
         if injector is not None:
             latency += injector.extra_latency_ns(flat, now)
         # Delays below are sums of non-negative model constants, so the
-        # unvalidated inline pushes (Environment.schedule_at, open-coded
-        # to save a call per hop) are safe.
+        # unvalidated inline pushes (Environment.schedule_at, open-coded)
+        # are safe.
         seq = env._seq
         env._seq = seq + 1
-        ctx = self._shard_ctx
         if last:
             # Head exits to the host link; last byte lands after tx
             # time.  The delay sum is grouped exactly as the
             # pre-optimization schedule(delay) call computed it --
             # float addition is not associative, and byte-identity
             # demands identical rounding.
-            when = now + (latency + link_delay + tx)
-            if (
-                ctx is None
-                or (dest := ctx.host_shard[packet.dst]) == ctx.shard
-            ):
-                heappush(env._queue, (when, seq, self._deliver, (packet,)))
-            else:
-                # Sharded worker: the destination host is owned elsewhere.
-                ctx.send(
-                    dest,
-                    (MSG_DELIVER, when, packet.pid, packet.src, packet.dst,
-                     packet.size_bytes, packet.create_time, packet.is_ack,
-                     packet.acked_pid, packet.hops),
-                )
-        elif ctx is None or (dest := ctx.stage_shard[stage + 1]) == ctx.shard:
-            item = (now + latency, seq,
-                    self._arrive_stage, (packet, stage + 1, targets[k]))
-            if latency == switch_latency:
-                # The hop lane: now never decreases and the delay is one
-                # constant, so this key is >= every key already on the
-                # lane and a plain append keeps it sorted.
-                hop_lane.append(item)
-            else:
-                # A slow-gate fault stretched this hop: its key may
-                # overtake later appends, so the heap has to order it.
-                heappush(env._queue, item)
-        else:
-            # Sharded worker: the next stage is owned elsewhere.  Cut
-            # inter-stage hops carry the optional extra inter-cabinet
-            # fiber delay (ctx.cut_delay_ns; plan lookahead).
-            ctx.send(
-                dest,
-                (MSG_ARRIVE, now + (latency + ctx.cut_delay_ns),
-                 stage + 1, targets[k], packet.pid, packet.src,
-                 packet.dst, packet.size_bytes, packet.create_time,
-                 packet.is_ack, packet.acked_pid, packet.hops),
+            heappush(
+                env._queue,
+                (now + (latency + self.link_delay_ns + tx), seq,
+                 self._deliver, (packet,)),
             )
+            return
+        item = (now + latency, seq,
+                self._arrive_stage, (packet, stage + 1, targets[k]))
+        if latency == switch_latency:
+            # The hop lane: now never decreases and the delay is one
+            # constant, so this key is >= every key already on the lane
+            # and a plain append keeps it sorted.
+            self._hop_lane.append(item)
+        else:
+            # A slow-gate fault stretched this hop: its key may overtake
+            # later appends, so the heap has to order it.
+            heappush(env._queue, item)
 
     # -- the fused hop drain (DESIGN.md section 10) ----------------------------------
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        shards: int = 1,
-        shard_latency_ns: float = 0.0,
-    ) -> LatencyStats:
-        """:meth:`NetworkSimulator.run`; a single-kernel run goes through
-        :meth:`_drain` first, for as long as that applies."""
-        if shards == 1:
-            self._drain(until)
-        return super().run(until, shards, shard_latency_ns)
+    def _run_kernel(self, until: Optional[float]) -> None:
+        """:meth:`_drain` for as long as that applies, then the kernel."""
+        self._drain(until)
+        self.env.run(until=until)
 
     def _drain(self, until: Optional[float]) -> None:
-        """Dispatch events here, with the fast hop handler inlined.
+        """Dispatch events here, with the hop handler inlined.
 
-        Taken when every hop would take ``_arrive_stage``'s fast path
-        anyway -- ``_fast`` holds, no shard context, no kernel profile, a
-        topology with precomputed tables, no subclass override of the
-        handler -- so the per-hop constants are unpacked once per run
-        instead of once per hop and a hop costs no Python call.  The loop
-        is :meth:`Environment.run`'s merge of the heap, the batch list and
+        The only uninstrumented hop handler, for single-kernel runs and
+        shard workers alike.  Taken while ``_fast`` holds and no kernel
+        profile is attached; the per-hop constants are read once per
+        call and a hop costs no Python call.  The loop is
+        :meth:`Environment.run`'s merge of the heap, the batch list and
         the hop lane by ``(time, seq)``.  Every entry on the hop lane is
-        an ``_arrive_stage`` event (nothing else appends there), and so is
-        a heap entry with that callback (a first hop): those are handled
-        inline; everything else is dispatched as ``fn(*args)``.  Returns
-        -- leaving the rest to ``Environment.run`` -- as soon as a
-        callback leaves ``_fast`` false or enables profiling, ``until`` is
-        reached, or nothing is left.  The arbitration scan, the
-        ``_randbelow`` loop and the delay grouping are
-        ``_arrive_stage``'s, verbatim: same RNG draws, same float sums,
-        same ``(time, seq)`` keys.
+        an ``_arrive_stage`` event (nothing else appends there), and so
+        is a heap entry with that callback (a first hop, or one that
+        crossed a shard cut): those are handled inline; everything else
+        is dispatched as ``fn(*args)``.  Returns -- leaving the rest to
+        ``Environment.run`` -- as soon as a callback leaves ``_fast``
+        false or enables profiling, ``until`` is reached, or nothing is
+        left.  The arbitration scan draws what ``_arrive_stage``'s
+        ``randrange`` draws (CPython's ``_randbelow`` rejection loop,
+        verbatim), and the delay grouping is ``_arrive_stage``'s: same
+        RNG draws, same float sums, same ``(time, seq)`` keys.
         """
-        (sps, last_stage, m, busy, bits, wiring, switch_latency,
-         link_delay, rate, getrandbits, env, hop_lane) = self._hot
+        env = self.env
         if (
             not self._fast
-            or self._shard_ctx is not None
             or env._profile is not None
-            or bits is None
-            or wiring is None
-            or type(self)._arrive_stage is not BaldurNetwork._arrive_stage
             or (until is not None and not env._now <= until < _INF)
         ):
             return  # Environment.run takes (or rejects) the whole run
+        sps = self._sps
+        last_stage = self._last_stage
+        m = self.multiplicity
+        busy = self._busy
+        bits = self._bit_table
+        wiring = self._wiring
+        switch_latency = self.switch_latency_ns
+        link_delay = self.link_delay_ns
+        rate = self.link_rate_gbps
+        getrandbits = self._rng.getrandbits
+        hop_lane = self._hop_lane
+        # A shard worker sends hops and deliveries that cross its cut
+        # instead of scheduling them; cut inter-stage hops carry the
+        # optional inter-cabinet fiber delay (plan lookahead).
+        ctx = self._shard_ctx
+        if ctx is not None:
+            shard = ctx.shard
+            host_shard = ctx.host_shard
+            stage_shard = ctx.stage_shard
+            cut_latency = switch_latency + ctx.cut_delay_ns
         horizon = (_INF if until is None else until, _INF)
         queue = env._queue
         run_list = env._run
@@ -719,12 +612,12 @@ class BaldurNetwork(NetworkSimulator):
                         if not self._fast or env._profile is not None:
                             return
                         continue
-                # _arrive_stage's fast path, inlined.
                 now = hop[0]
                 env._now = now
                 packet, stage, switch = hop[3]
                 bit = bits[packet.dst][stage]
                 base = ((stage * sps + switch) * 2 + bit) * m
+                # Count the free ports without building a list.
                 n_free = 0
                 k = base
                 i = base
@@ -739,11 +632,16 @@ class BaldurNetwork(NetworkSimulator):
                                           note="all ports busy")
                     continue
                 if n_free > 1:
+                    # Pick the idx-th free port in ascending order, idx
+                    # drawn as randrange(n_free) draws it: bit_length(n)
+                    # bits, rejecting draws >= n.
                     nbits = n_free.bit_length()
                     idx = getrandbits(nbits)
                     while idx >= n_free:
                         idx = getrandbits(nbits)
                     if n_free == m:
+                        # Every port is free (the common case at light
+                        # load): the idx-th free port is simply port idx.
                         k = base + idx
                     else:
                         i = base
@@ -760,26 +658,46 @@ class BaldurNetwork(NetworkSimulator):
                 )
                 busy[k] = now + tx
                 packet.hops += 1
-                # Delays are sums of non-negative model constants, as in
-                # _arrive_stage, so these unvalidated pushes are safe; the
-                # lane append also needs its key >= the lane's tail, which
-                # now + one constant with now non-decreasing guarantees.
+                # Delays are sums of non-negative model constants, grouped
+                # as _arrive_stage groups them, so these unvalidated pushes
+                # are safe; the lane append also needs its key >= the
+                # lane's tail, which now + one constant with now
+                # non-decreasing guarantees.  A seq is consumed whether
+                # the event stays or is sent.
                 seq = env._seq
                 env._seq = seq + 1
                 if stage == last_stage:
-                    item = (now + (switch_latency + link_delay + tx), seq,
-                            deliver, (packet,))
-                    heappush(queue, item)
-                    if bound is not None and item < bound:
-                        # Earlier than everything else off the lane: the
-                        # heap's new head, and the new bound.
-                        bound = item
-                        in_heap = True
-                else:
+                    when = now + (switch_latency + link_delay + tx)
+                    if ctx is None or (dest := host_shard[packet.dst]) == shard:
+                        item = (when, seq, deliver, (packet,))
+                        heappush(queue, item)
+                        if bound is not None and item < bound:
+                            # Earlier than everything else off the lane:
+                            # the heap's new head, and the new bound.
+                            bound = item
+                            in_heap = True
+                    else:
+                        ctx.send(
+                            dest,
+                            (MSG_DELIVER, when, packet.pid, packet.src,
+                             packet.dst, packet.size_bytes,
+                             packet.create_time, packet.is_ack,
+                             packet.acked_pid, packet.hops),
+                        )
+                elif ctx is None or (dest := stage_shard[stage + 1]) == shard:
                     lane_append(
                         (now + switch_latency, seq, arrive,
                          (packet, stage + 1,
                           wiring[stage][switch][bit][k - base])),
+                    )
+                else:
+                    ctx.send(
+                        dest,
+                        (MSG_ARRIVE, now + cut_latency, stage + 1,
+                         wiring[stage][switch][bit][k - base], packet.pid,
+                         packet.src, packet.dst, packet.size_bytes,
+                         packet.create_time, packet.is_ack,
+                         packet.acked_pid, packet.hops),
                     )
         finally:
             env._running = False
@@ -967,6 +885,8 @@ class BaldurNetwork(NetworkSimulator):
             reasons.append("diagnosis test mode")
         if self._record_paths:
             reasons.append("path recording")
+        if type(self)._arrive_stage is not BaldurNetwork._arrive_stage:
+            reasons.append("an overridden hop handler (workers drain)")
         if reasons:
             raise ShardingUnsupportedError(
                 "cannot shard this Baldur run: " + "; ".join(reasons)
@@ -1002,7 +922,6 @@ class BaldurNetwork(NetworkSimulator):
         seed = shard_stream_seed(root_seed, ctx.shard)
         self._rng = stream(seed, "baldur-arbitration")
         self._beb_rng = stream(seed, "baldur-beb")
-        self._bind_hot()
 
     def _shard_schedule_inbox(self, messages) -> None:
         env = self.env

@@ -79,8 +79,10 @@ FAST_PATH_ALLOWLIST = frozenset({
     # model constants; see the inline safety comments at each site).
     ("repro.core.baldur_network", "BaldurNetwork._transmit"),
     ("repro.core.baldur_network", "BaldurNetwork._arrive_stage"),
-    # PR 24's fused hop drain: _arrive_stage's pushes, inlined (same
-    # delays; the hop-lane appends are now + one constant, so sorted).
+    # The fused hop drain: the fast hop handler for plain runs and shard
+    # workers (delays are the same model-constant sums as
+    # _arrive_stage's; the hop-lane appends are now + one constant, so
+    # sorted).
     ("repro.core.baldur_network", "BaldurNetwork._drain"),
 })
 """(module, qualname) pairs allowed to bypass kernel delay validation.

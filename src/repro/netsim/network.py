@@ -436,9 +436,14 @@ class NetworkSimulator:
                 self, shards, until=until, shard_latency_ns=shard_latency_ns
             )
             return result
-        self.env.run(until=until)
+        self._run_kernel(until)
         self.audit()
         return self.stats
+
+    def _run_kernel(self, until: Optional[float]) -> None:
+        """Advance the event kernel to ``until`` (or to exhaustion): the
+        one loop step that single-kernel runs and shard workers share."""
+        self.env.run(until=until)
 
     # -- sharded execution hooks (repro.shard) -----------------------------------
     #

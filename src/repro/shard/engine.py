@@ -9,7 +9,7 @@ coordinator repeatedly:
    means global quiescence — stop);
 2. sets the window end ``E = min(t_next + W, until)``;
 3. hands each worker its sorted inbox (messages and ledger notices that
-   fell due) and lets it drain its kernel through ``env.run(until=E)``
+   fell due) and lets it drain its kernel through ``_run_kernel(E)``
    — the repo kernel executes events with ``time <= E`` inclusively;
 4. collects each worker's outboxes, notices, and next-event peek.
 
@@ -95,7 +95,7 @@ class _ShardWorker:
         if messages:
             net._shard_schedule_inbox(messages)
         if end is not None and end > net.env.now:
-            net.env.run(until=end)
+            net._run_kernel(end)
         out, notes = net._shard_ctx.take()
         return out, notes, float(net.env.peek())
 

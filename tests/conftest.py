@@ -1,4 +1,5 @@
-"""Shared pytest plumbing: export observability artifacts on failure.
+"""Shared pytest plumbing: export observability artifacts on failure,
+and the ``stages_called`` spy on Baldur's instrumented hop handler.
 
 Tests that drive a simulator with a tracer or metrics registry attached
 can ``repro.obs.artifacts.register(...)`` the live objects; if the test
@@ -9,6 +10,7 @@ upload packet-level evidence alongside the red build.
 
 import pytest
 
+from repro.core.baldur_network import BaldurNetwork
 from repro.obs import artifacts as obs_artifacts
 
 
@@ -18,6 +20,22 @@ def _fresh_obs_artifact_registry():
     obs_artifacts.clear()
     yield
     obs_artifacts.clear()
+
+
+@pytest.fixture
+def stages_called(monkeypatch):
+    """The stages that reached ``BaldurNetwork._arrive_stage`` (the
+    instrumented hop handler) as a Python call; empty while every hop is
+    drained."""
+    seen = set()
+    real = BaldurNetwork._arrive_stage
+
+    def spy(self, packet, stage, switch):
+        seen.add(stage)
+        real(self, packet, stage, switch)
+
+    monkeypatch.setattr(BaldurNetwork, "_arrive_stage", spy)
+    return seen
 
 
 @pytest.hookimpl(hookwrapper=True)

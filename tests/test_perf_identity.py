@@ -1,19 +1,25 @@
-"""Fast-path/slow-path identity tests.
+"""Drained/instrumented identity tests.
 
-The hot-path work (DESIGN.md section 10) split Baldur's arbitration into
-an allocation-free fast path and an instrumented slow path (taken when
-test mode, degraded mode, or metrics are active), split the kernel's
+The hot-path work (DESIGN.md section 10) gave Baldur one fast hop
+handler -- ``BaldurNetwork._drain``, a copy of the kernel's merge loop
+with an allocation-free arbitration scan inlined, taken by plain runs
+and shard workers alike -- and one instrumented handler,
+``_arrive_stage``, which builds the explicit free-port list and serves
+every hop the drain cannot take (tracer, metrics, faults, masks, test
+mode, path recording, a kernel profile).  It also split the kernel's
 event sources into a heap, a sorted batch list and constant-delay FIFO
-lanes, and gave ``BaldurNetwork.run`` a drain loop with the fast hop
-handler inlined.  None of that may change simulation *results*: these
-tests pin the optimized paths byte-identical -- same ``StatsSummary``
-including the per-packet latency digest, same ``audit()`` ledger, same
-recorded paths -- to the instrumented ones on a contended cell.
+lanes.  None of that may change simulation *results*: these tests pin
+the drained runs byte-identical -- same ``StatsSummary`` including the
+per-packet latency digest, same ``audit()`` ledger, same recorded
+paths -- to the instrumented ones on a contended cell.
 """
 
 from heapq import heappush
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.analysis.experiments import pattern_destinations, run_open_loop
 from repro.core.baldur_network import BaldurNetwork
@@ -52,7 +58,9 @@ class TestFastSlowPathIdentity:
         slow = _summary(metrics=MetricsRegistry(window_ns=1000.0))
         assert fast == slow
 
-    def test_tracer_keeps_fast_path_and_results(self):
+    def test_tracer_takes_instrumented_handler_with_same_results(self):
+        """A tracer moves every hop from the drain to ``_arrive_stage``;
+        results must not move."""
         fast = _summary()
         traced = _summary(tracer=Tracer(capacity=100_000))
         assert fast == traced
@@ -99,25 +107,10 @@ class _HeapLane:
         return 0
 
 
-@pytest.fixture
-def stages_called(monkeypatch):
-    """The stages that reached ``_arrive_stage`` as a Python call."""
-    seen = set()
-    real = BaldurNetwork._arrive_stage
-
-    def spy(self, packet, stage, switch):
-        seen.add(stage)
-        real(self, packet, stage, switch)
-
-    monkeypatch.setattr(BaldurNetwork, "_arrive_stage", spy)
-    return seen
-
-
 def _build(n_nodes: int, engine: str, seed: int = 3) -> BaldurNetwork:
     net = BaldurNetwork(n_nodes, seed=seed)
     if engine == "heap":
         net._hop_lane = _HeapLane(net.env)
-        net._bind_hot()
     if engine != "drain":
         net.env.enable_profiling()
     return net
@@ -313,6 +306,109 @@ class TestDrainAndLaneIdentity:
         stats = run_sharded(net, 2, backend="inline")
         assert stats.conservation() == ref.conservation()
         assert sorted(stats.latencies) == sorted(ref.latencies)
+
+
+# -- any sequence of API calls: drained == instrumented --------------------------
+
+# How far each step runs both copies: up to about a third of the cell.
+DELTA = st.integers(0, 1500)
+
+
+class DrainedEqualsInstrumented(RuleBasedStateMachine):
+    """Random steps applied alike to two copies of one contended cell.
+
+    ``drained`` is the network as shipped: its hops take the drain
+    whenever ``_fast`` allows.  ``instrumented`` has a kernel profile
+    attached, so every one of its hops takes ``_arrive_stage``.  Each
+    step changes something -- attaches or detaches an observer, masks or
+    faults a switch, switches test mode or path recording, submits a
+    packet, or nothing -- and then runs both copies ``delta`` ns further,
+    so every change is a point where the drain must hand over (or may
+    resume) with events still to dispatch.  After every step both copies
+    must agree on everything observable, with a balanced ledger.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.drained = _open_loop(64, "drain")
+        self.instrumented = _open_loop(64, "general")
+        self.nets = (self.drained, self.instrumented)
+        topology = self.drained.topology
+        self.n_stages = topology.n_stages
+        self.sps = topology.switches_per_stage
+
+    def _step(self, change, delta):
+        for net in self.nets:
+            change(net)
+            net.run(until=net.env.now + delta)
+
+    @rule(attach=st.booleans(), delta=DELTA)
+    def tracer(self, attach, delta):
+        self._step(lambda net: net.attach_tracer(
+            Tracer(capacity=1_000_000) if attach else None
+        ), delta)
+
+    @rule(attach=st.booleans(), delta=DELTA)
+    def metrics(self, attach, delta):
+        self._step(lambda net: net.attach_metrics(
+            MetricsRegistry(window_ns=1000.0) if attach else None
+        ), delta)
+
+    @rule(stage=st.integers(0, 63), switch=st.integers(0, 63),
+          mask=st.booleans(), delta=DELTA)
+    def mask_switch(self, stage, switch, mask, delta):
+        at = (stage % self.n_stages, switch % self.sps)
+        self._step(lambda net: (
+            net.mask_switch(*at) if mask else net.unmask_switch(*at)
+        ), delta)
+
+    @rule(stage=st.integers(0, 63), switch=st.integers(0, 63), delta=DELTA)
+    def inject_fault(self, stage, switch, delta):
+        at = (stage % self.n_stages, switch % self.sps)
+        self._step(lambda net: net.inject_fault(*at), delta)
+
+    @rule(flat=st.integers(0, 1023), delta=DELTA)
+    def slow_gate(self, flat, delta):
+        flat %= self.n_stages * self.sps
+        self._step(lambda net: net.attach_faults(FaultInjector(
+            [SlowGateDrift(flat, extra_latency_ns=4.0)]
+        )), delta)
+
+    @rule(port=st.integers(0, 3), delta=DELTA)
+    def test_mode(self, port, delta):
+        self._step(lambda net: net.enable_test_mode(port), delta)
+
+    @rule(on=st.booleans(), delta=DELTA)
+    def record_paths(self, on, delta):
+        self._step(lambda net: setattr(net, "record_paths", on), delta)
+
+    @rule(src=st.integers(0, 63), offset=st.integers(1, 63),
+          delay=st.integers(0, 500), delta=DELTA)
+    def submit(self, src, offset, delay, delta):
+        self._step(lambda net: net.submit(
+            src, (src + offset) % 64, time=net.env.now + delay
+        ), delta)
+
+    @rule(delta=DELTA)
+    def run_piece(self, delta):
+        self._step(lambda net: None, delta)
+
+    @invariant()
+    def copies_agree(self):
+        drained, instrumented = (_outcome(net) for net in self.nets)
+        # repr: before the first delivery the latency averages are NaN.
+        assert repr(drained) == repr(instrumented)
+        assert drained["ledger"]["balance"] == 0
+        assert (
+            self.drained.tracer is None and self.instrumented.tracer is None
+            or self.drained.tracer.counts == self.instrumented.tracer.counts
+        )
+
+
+TestDrainedEqualsInstrumented = DrainedEqualsInstrumented.TestCase
+TestDrainedEqualsInstrumented.settings = settings(
+    max_examples=25, stateful_step_count=30, deadline=None
+)
 
 
 class TestCostGolden:

@@ -20,7 +20,9 @@ Contract under test:
 import pytest
 
 from repro.analysis.experiments import build_network
+from repro.core.baldur_network import BaldurNetwork
 from repro.errors import ConfigurationError, ShardingUnsupportedError
+from repro.netsim.stats import StatsSummary
 from repro.shard import run_sharded, shard_stream_seed
 from repro.sim.rand import derive_seed
 from repro.traffic import inject_open_loop, transpose
@@ -92,6 +94,41 @@ class TestDeterminism:
         assert shard_stream_seed(7, 2) != shard_stream_seed(8, 2)
 
 
+class TestContendedPin:
+    """Exact output of one contended sharded cell, committed.
+
+    Sharded runs draw per-shard RNG streams, so under contention only
+    these committed values -- not the single kernel -- say what the
+    right answer is.  Shard workers dispatch every hop through
+    ``BaldurNetwork._drain``; the instrumented ``_arrive_stage`` has no
+    cross-shard sends, so the spy must see no call at all.
+    """
+
+    LEDGER = {"injected": 2400, "delivered": 2400, "terminal_drops": 0,
+              "given_up": 0, "in_flight": 0, "balance": 0}
+
+    @pytest.mark.parametrize("shard_latency_ns, summary", [
+        (0.0, {"drops": 15, "ack_drops": 11, "retransmissions": 26,
+               "latency_digest": "bd0472d9be2183b1adf66be3dfefd0a4"
+                                 "105579bfcd3d6cad3dc6a267189805fd"}),
+        (20.0, {"drops": 16, "ack_drops": 11, "retransmissions": 27,
+                "latency_digest": "775c65280b485734c7370e5d4f5cb6f0"
+                                  "878d4f1b8a5e730234737d170ea20b4f"}),
+    ])
+    def test_two_inline_shards_256_nodes(
+        self, shard_latency_ns, summary, stages_called
+    ):
+        net = BaldurNetwork(256, seed=7)
+        inject_open_loop(net, transpose(256), 0.7, 10, seed=7)
+        stats = run_sharded(net, 2, backend="inline",
+                            shard_latency_ns=shard_latency_ns)
+        got = StatsSummary.from_stats(stats).to_dict()
+        assert {key: got[key] for key in summary} == summary
+        assert got["delivered"] == got["n_latencies"] == 2400
+        assert net.audit() == self.LEDGER
+        assert stages_called == set()
+
+
 class TestConservation:
     def test_audit_holds_under_contention(self):
         net = _cell("baldur", n_nodes=32, load=0.9, packets_per_node=10,
@@ -145,6 +182,19 @@ class TestRefusal:
         net = _cell("baldur")
         net.mask_switch(1, 0)
         with pytest.raises(ShardingUnsupportedError):
+            net.run(shards=2)
+
+    def test_overridden_hop_handler_refuses(self):
+        # Workers drain every hop, so a replacement handler would never run.
+        class Subclass(BaldurNetwork):
+            __slots__ = ()
+
+            def _arrive_stage(self, packet, stage, switch):
+                super()._arrive_stage(packet, stage, switch)
+
+        net = Subclass(16, seed=5)
+        inject_open_loop(net, transpose(16), 0.2, 3, seed=5)
+        with pytest.raises(ShardingUnsupportedError, match="hop handler"):
             net.run(shards=2)
 
 
