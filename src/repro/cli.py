@@ -436,13 +436,6 @@ def _cmd_zoo(args) -> int:
     return _finish_sweep(args, sweep)
 
 
-def _cmd_lint(args) -> int:
-    """Run the repro.lint static analyzer (same engine as repro-lint)."""
-    from repro.lint.cli import run_from_args
-
-    return run_from_args(args)
-
-
 def _cmd_trace(args) -> int:
     """Run one observed open-loop experiment and replay a flow's timeline."""
     from repro.analysis.experiments import (
@@ -596,17 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--metrics-out", default=None,
         help="also collect per-switch metrics and write them as JSONL")
-    # lint shares its full option surface with the repro-lint console
-    # script (see repro.lint.cli) so the two entry points cannot drift.
-    from repro.lint.cli import add_lint_arguments
-
-    lint = sub.add_parser(
-        "lint",
-        help="determinism & invariant static analysis (repro-lint)",
-    )
-    lint.set_defaults(fn=_cmd_lint)
-    add_lint_arguments(lint)
-
     add("fig8", _cmd_fig8)
     add("fig9", _cmd_fig9, sweep=True)
     add("fig10", _cmd_fig10)

@@ -2,13 +2,12 @@
 
 A small AST-walking analyzer purpose-built for this repro.  The engine
 (:mod:`repro.lint.engine`) provides the checker registry, suppression
-comments, and file discovery; the single-file rules live in
-:mod:`repro.lint.checkers`; the whole-project symbol/call graph in
-:mod:`repro.lint.graph`; the flow-aware parallelism-safety rules in
+comments, and file discovery; every rule is a file rule, the syntactic
+ones in :mod:`repro.lint.checkers` and the parallelism-safety ones in
 :mod:`repro.lint.flow`; reporters in :mod:`repro.lint.report`; the
 ``repro-lint`` console script in :mod:`repro.lint.cli`.
 
-See DESIGN.md sections 11 and 15 for the architecture and rule catalog.
+See DESIGN.md section 11 for the architecture and rule catalog.
 """
 
 from __future__ import annotations

@@ -3,13 +3,13 @@
 Each checker is a generator ``(SourceFile) -> Iterator[Finding]``
 registered with :func:`repro.lint.engine.checker`.  The six rules here
 pin the determinism and invariant contracts documented in DESIGN.md;
-the flow-aware, whole-project rules (SEED/FORK/MERGE/FLOAT/SUPP/STALE)
-live in :mod:`repro.lint.flow` on top of :mod:`repro.lint.graph`.
+the parallelism-safety rules (SEED/FORK/MERGE/FLOAT/SUPP/STALE) live in
+:mod:`repro.lint.flow`.
 
 ========== ================================================================
 rule       contract it pins
 ========== ================================================================
-RNG-001    all randomness flows through ``repro.sim.rand`` named streams
+RNG-001    no process-global RNG: ``repro.*`` uses ``repro.sim.rand``
 CLK-001    simulation code never reads the wall clock
 DET-001    scheduling/arbitration never iterates an unordered ``set``
 SLOTS-001  hot-module classes declare ``__slots__`` like their peers
@@ -141,6 +141,47 @@ def _annotation_nodes(tree: ast.AST) -> Set[int]:
     return ids
 
 
+_GLOBAL_RNG_CALLS = frozenset(
+    [f"random.{name}" for name in (
+        "betavariate choice choices expovariate gammavariate gauss "
+        "getrandbits lognormvariate normalvariate paretovariate randbytes "
+        "randint random randrange sample seed shuffle triangular uniform "
+        "vonmisesvariate weibullvariate"
+    ).split()]
+    + [f"numpy.random.{name}" for name in
+       "choice rand randint randn seed shuffle".split()]
+)
+"""Calls that draw from or reseed a process-global generator.
+
+``random.getstate``/``setstate`` are left out: saving and restoring the
+global state is how a test proves a simulation never touched it.
+"""
+
+
+def _global_rng_calls(src: SourceFile) -> Iterator[Finding]:
+    """RNG-001 outside ``repro.*``: calls in :data:`_GLOBAL_RNG_CALLS`."""
+    imports = ImportMap(src.tree)
+    for node in ast.walk(src.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        resolved = imports.resolve(node.func)
+        root = node.func
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        # A local that merely shares the name ``random`` resolves to
+        # itself; only names bound by an import count.
+        if resolved in _GLOBAL_RNG_CALLS and isinstance(root, ast.Name) and (
+            root.id in imports.modules or root.id in imports.names
+        ):
+            yield src.finding(
+                "RNG-001",
+                node,
+                f"{resolved}() uses the process-global RNG, which couples "
+                "every test and run in the process; draw from a local "
+                "random.Random(seed) / numpy default_rng(seed) instead",
+            )
+
+
 @checker(
     "RNG-001",
     "global random / numpy.random use outside repro.sim.rand",
@@ -151,8 +192,15 @@ def check_rng(src: SourceFile) -> Iterator[Finding]:
     Reproducibility rests on every stochastic component drawing from a
     named stream derived via :func:`repro.sim.rand.derive_seed`; the
     module-global generators (``random.random``, ``numpy.random.seed``)
-    are cross-cutting hidden state that any import can perturb.
+    are cross-cutting hidden state that any import can perturb.  In
+    ``repro.*`` any use of ``random``/``numpy.random`` outside
+    ``repro.sim.rand`` is flagged.  Tests, benchmarks and examples may
+    build local ``random.Random(seed)`` instances, but a call that draws
+    from or reseeds a process-global generator is flagged there too.
     """
+    if _in_packages(src.module, ("tests", "benchmarks", "examples")):
+        yield from _global_rng_calls(src)
+        return
     if not src.module.startswith("repro.") or src.module == "repro.sim.rand":
         return
     imports = ImportMap(src.tree)
@@ -226,8 +274,8 @@ _WALL_CLOCK_CALLS = frozenset({
     "wall-clock read inside simulation code",
 )
 def check_clock(src: SourceFile) -> Iterator[Finding]:
-    """Flag wall-clock reads inside ``repro.sim``/``core``/``netsim``/
-    ``electrical``.
+    """Flag wall-clock reads inside the :data:`HOT_CLOCK_PREFIXES`
+    packages.
 
     Simulation time is :attr:`Environment.now`; a wall-clock read in
     simulation code either leaks nondeterminism into results or silently

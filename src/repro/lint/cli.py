@@ -1,9 +1,7 @@
 """Command-line front end for the ``repro.lint`` analyzer.
 
-Installed as the ``repro-lint`` console script, and reused verbatim by
-the ``repro-bench lint`` subcommand (see :mod:`repro.cli`): both call
-:func:`add_lint_arguments` to build the option surface and
-:func:`run_from_args` to execute, so the two entry points cannot drift.
+Installed as the ``repro-lint`` console script (``python -m
+repro.lint.cli`` works too).
 
 Exit codes: 0 = clean, 1 = findings (or parse failures), 2 = bad usage
 (unknown rule id, no Python files found).
@@ -16,18 +14,19 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.engine import run_lint
+from repro.lint.engine import registry, run_lint
 from repro.lint.report import render_json, render_text
 
-__all__ = ["add_lint_arguments", "build_parser", "main", "run_from_args"]
+__all__ = ["build_parser", "main"]
 
 
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared lint options to *parser*.
-
-    Kept separate from :func:`build_parser` so ``repro-bench lint`` can
-    mount the same options on its subparser.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-lint",
+        description=(
+            "Determinism & invariant static analysis for the Baldur repro"
+        ),
+    )
     parser.add_argument(
         "paths",
         nargs="*",
@@ -57,11 +56,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="write the report to PATH instead of stdout",
     )
     parser.add_argument(
-        "--include-fixtures",
-        action="store_true",
-        help="also lint tests/lint_fixtures (excluded by default)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list registered rules and exit",
@@ -72,16 +66,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="RULE",
         help="print RULE's summary and rationale, then exit",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description=(
-            "Determinism & invariant static analysis for the Baldur repro"
-        ),
-    )
-    add_lint_arguments(parser)
     return parser
 
 
@@ -94,13 +78,9 @@ def _default_paths() -> List[str]:
     return paths or list(DEFAULT_PATHS[:2])
 
 
-def run_from_args(args: argparse.Namespace) -> int:
-    """Execute a lint run described by parsed *args*; returns exit code."""
-    # Populate the registry before listing or running rules.
-    import repro.lint.checkers  # noqa: F401
-    import repro.lint.flow  # noqa: F401
-    from repro.lint.engine import DEFAULT_EXCLUDED_DIRS, registry
-
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run ``repro-lint`` with *argv*; returns the exit code."""
+    args = build_parser().parse_args(argv)
     if args.list_rules:
         for rule in registry.rules():
             print(f"{rule.id}: {rule.summary}")
@@ -132,10 +112,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             print("error: --select given but no rule ids parsed", file=sys.stderr)
             return 2
 
-    exclude = set(DEFAULT_EXCLUDED_DIRS)
-    if args.include_fixtures:
-        exclude.discard("lint_fixtures")
-
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
         print(
@@ -144,9 +120,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        report = run_lint(
-            args.paths, select=select, exclude_dirs=frozenset(exclude)
-        )
+        report = run_lint(args.paths, select=select)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -163,12 +137,6 @@ def run_from_args(args: argparse.Namespace) -> int:
     else:
         print(rendered)
     return report.exit_code
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run_from_args(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via console script

@@ -8,24 +8,19 @@ violations late (after an expensive golden-figure diff); this engine
 catches them at commit time by walking the AST of every source file
 through a registry of repo-specific checkers (:mod:`repro.lint.checkers`).
 
-Architecture (DESIGN.md sections 11 and 15):
+Architecture (DESIGN.md section 11):
 
 * :class:`SourceFile` -- one parsed file: path, derived dotted module
   name, AST, and its suppression table;
 * :class:`CheckerRegistry` -- rule id -> checker function; checkers are
-  plain generators registered with the :func:`checker` decorator, so
-  adding a rule is one decorated function.  A checker declares a
-  *scope*: ``"file"`` checkers see one :class:`SourceFile` at a time
-  (the PR 5 rules); ``"project"`` checkers see the whole-tree
-  :class:`~repro.lint.graph.ProjectGraph` built after every file has
-  been indexed (the flow-aware rules); the ``"audit"`` checker runs
-  last over the indexed sources, after every other rule has recorded
-  which suppression comments it actually used (SUPP-001);
-* :func:`run_lint` -- two-phase execution: phase 1 parses and indexes
-  every discovered file, phase 2 runs file checkers per file, then
-  project checkers over the graph, then the suppression audit --
-  returning a :class:`LintReport` that the reporters in
-  :mod:`repro.lint.report` render as text or JSON.
+  plain generators ``(SourceFile) -> Iterator[Finding]`` registered
+  with the :func:`checker` decorator, so adding a rule is one decorated
+  function.  Every rule sees one file at a time and reports findings in
+  that file only;
+* :func:`run_lint` -- parses each discovered file, runs every checker
+  on it, then the suppression audit (SUPP-001) on it, returning a
+  :class:`LintReport` that the reporters in :mod:`repro.lint.report`
+  render as text or JSON.
 
 Suppression syntax: a ``# repro-lint: disable=RULE[,RULE...]`` comment on
 its own line disables the listed rules (or ``all``) for the whole file; as
@@ -228,46 +223,33 @@ class SourceFile:
 
 
 CheckerFn = Callable[[SourceFile], Iterator[Finding]]
-"""A ``"file"``-scope checker: one :class:`SourceFile` -> findings."""
+"""A checker: one :class:`SourceFile` -> findings in that file."""
 
-AnyCheckerFn = Callable[[Any], Iterator[Finding]]
-"""Any checker; ``"project"`` scope takes a ``ProjectGraph``, ``"audit"``
-scope takes the full ``Sequence[SourceFile]``."""
-
-SCOPES = ("file", "project", "audit")
-"""Valid checker scopes, in the order :func:`run_lint` executes them."""
+AUDIT_RULE = "SUPP-001"
+"""The suppression audit: runs on each file after every other rule."""
 
 
 class CheckerRegistry:
     """Plugin registry mapping rule ids to checker functions.
 
     Checkers self-register at import time via the :func:`checker`
-    decorator; :func:`run_lint` consults the registry so third parties
-    (or tests) can run with a private registry or a rule subset.  Each
-    checker carries a *scope* deciding what :func:`run_lint` feeds it:
-    ``"file"`` (one :class:`SourceFile` per call), ``"project"`` (the
-    whole-tree :class:`~repro.lint.graph.ProjectGraph`, built once), or
-    ``"audit"`` (every parsed :class:`SourceFile`, after all other
-    rules have run -- only on unrestricted runs, because "unused
-    suppression" is meaningless when most rules were deselected).
+    decorator; :func:`run_lint` consults the registry for the selected
+    rule subset.
     """
 
     def __init__(self) -> None:
-        self._checkers: Dict[str, Tuple[Rule, AnyCheckerFn, str]] = {}
+        self._checkers: Dict[str, Tuple[Rule, CheckerFn]] = {}
 
     def register(
-        self, rule_id: str, summary: str, scope: str = "file"
-    ) -> Callable[[AnyCheckerFn], AnyCheckerFn]:
+        self, rule_id: str, summary: str
+    ) -> Callable[[CheckerFn], CheckerFn]:
         """Decorator registering a checker under ``rule_id``."""
-        if scope not in SCOPES:
-            raise ValueError(f"unknown checker scope {scope!r}")
 
-        def decorate(fn: AnyCheckerFn) -> AnyCheckerFn:
+        def decorate(fn: CheckerFn) -> CheckerFn:
             if rule_id in self._checkers:
                 raise ValueError(f"duplicate checker for rule {rule_id!r}")
             rationale = " ".join((fn.__doc__ or "").split())
-            rule = Rule(rule_id, summary, rationale)
-            self._checkers[rule_id] = (rule, fn, scope)
+            self._checkers[rule_id] = (Rule(rule_id, summary, rationale), fn)
             return fn
 
         return decorate
@@ -282,8 +264,8 @@ class CheckerRegistry:
 
     def items(
         self, select: Optional[Iterable[str]] = None
-    ) -> List[Tuple[Rule, AnyCheckerFn, str]]:
-        """(rule, checker, scope) triples, restricted to ``select``."""
+    ) -> List[Tuple[Rule, CheckerFn]]:
+        """(rule, checker) pairs, restricted to ``select``."""
         if select is None:
             return [self._checkers[key] for key in sorted(self._checkers)]
         unknown = sorted(set(select) - set(self._checkers))
@@ -455,89 +437,49 @@ def run_lint(
     paths: Sequence[Path],
     select: Optional[Iterable[str]] = None,
     exclude_dirs: Iterable[str] = DEFAULT_EXCLUDED_DIRS,
-    reg: Optional[CheckerRegistry] = None,
 ) -> LintReport:
     """Run the registered checkers over ``paths`` and collect findings.
 
-    Two-phase execution (DESIGN.md section 15): phase 1 parses every
-    discovered file (parse failures become ``E-PARSE`` findings); phase
-    2 runs ``"file"``-scope checkers per file, then builds the
-    :class:`~repro.lint.graph.ProjectGraph` and runs the
-    ``"project"``-scope flow rules over it, then -- on unrestricted runs
-    only -- the ``"audit"`` pass (SUPP-001), which must see which
-    suppression comments the earlier rules consumed.
+    Each discovered file is parsed (parse failures become ``E-PARSE``
+    findings) and handed to every selected checker; a finding that a
+    suppression comment covers is counted, not reported.  Then, on
+    unrestricted runs only, the suppression audit (SUPP-001) runs on the
+    same file: with most rules deselected, "unused" would misfire on
+    every comment whose rule did not get a chance to consume it.  Audit
+    findings bypass the suppression filter -- an unused ``disable=all``
+    comment must not be able to suppress the report of its own
+    unused-ness -- so the audit checker itself honours explicit SUPP-001
+    mentions.
 
     ``select`` restricts to a subset of rule ids; ``exclude_dirs``
     replaces the default directory prune list (pass ``()`` to lint the
-    fixture corpus); ``reg`` substitutes a private registry (tests).
-    Findings are sorted by (path, line, col, rule) so reports are
-    deterministic.
+    fixture corpus).  Findings are sorted by (path, line, col, rule) so
+    reports are deterministic.
     """
-    if reg is None:
-        reg = registry
-    checkers = reg.items(select)
-    report = LintReport(rules=[rule for rule, _fn, _scope in checkers])
-    sources: List[SourceFile] = []
-    by_path: Dict[str, SourceFile] = {}
-
-    def admit(finding: Finding) -> None:
-        src = by_path.get(finding.path)
-        if src is not None and src.suppressed(finding.rule, finding.line):
-            report.suppressed += 1
-        else:
-            report.findings.append(finding)
-
-    # Phase 1: parse and index every file before any checker runs, so
-    # project-scope rules see the complete module graph.
+    checkers = registry.items(select)
+    report = LintReport(rules=[rule for rule, _fn in checkers])
+    rule_fns = [fn for rule, fn in checkers if rule.id != AUDIT_RULE]
+    audit = registry.items([AUDIT_RULE])[0][1] if select is None else None
     for path in iter_source_files(paths, exclude_dirs):
         report.n_files += 1
+        module = module_name_for(path)
         try:
-            src = SourceFile(
-                path, module_name_for(path),
-                path.read_text(encoding="utf-8"),
-            )
+            src = SourceFile(path, module, path.read_text(encoding="utf-8"))
         except (SyntaxError, UnicodeDecodeError, ValueError) as exc:
             line = getattr(exc, "lineno", None) or 1
             report.findings.append(Finding(
                 rule=PARSE_RULE, path=str(path), line=line, col=0,
-                message=f"cannot parse: {exc}", module=module_name_for(path),
+                message=f"cannot parse: {exc}", module=module,
             ))
             continue
-        sources.append(src)
-        by_path[str(src.path)] = src
-
-    # Phase 2a: single-file syntactic rules.
-    for src in sources:
-        for _rule, fn, scope in checkers:
-            if scope != "file":
-                continue
+        for fn in rule_fns:
             for finding in fn(src):
-                admit(finding)
-
-    # Phase 2b: whole-project flow rules over the symbol/call graph.
-    # The graph is only built when a project rule is actually selected,
-    # keeping `--select RNG-001`-style runs as cheap as before.
-    if any(scope == "project" for _rule, _fn, scope in checkers):
-        from repro.lint.graph import ProjectGraph
-
-        graph = ProjectGraph(sources)
-        for _rule, fn, scope in checkers:
-            if scope != "project":
-                continue
-            for finding in fn(graph):
-                admit(finding)
-
-    # Phase 2c: the suppression audit.  Restricted runs skip it: with
-    # most rules deselected, "unused" would misfire on every comment
-    # whose rule did not get a chance to consume it.  Audit findings
-    # bypass the suppression filter -- an unused ``disable=all`` comment
-    # must not be able to suppress the report of its own unused-ness --
-    # so the audit checker itself honours explicit SUPP-001 mentions.
-    if select is None:
-        for _rule, fn, scope in checkers:
-            if scope != "audit":
-                continue
-            report.findings.extend(fn(sources))
+                if src.suppressed(finding.rule, finding.line):
+                    report.suppressed += 1
+                else:
+                    report.findings.append(finding)
+        if audit is not None:
+            report.findings.extend(audit(src))
 
     report.findings.sort(
         key=lambda f: (f.path, f.line, f.col, f.rule)

@@ -1,29 +1,30 @@
-"""The flow-aware rule family: parallelism-safety over the project graph.
+"""The parallelism-safety rule family: seeds, fork state, merge order.
 
-These rules machine-check the cross-module contracts that keep the
-fork-worker runner (DESIGN.md section 7) and the sharded PDES engine
-(section 14) byte-identical -- properties no single-file pass can see:
+These rules machine-check the contracts that keep the fork-worker
+runner (DESIGN.md section 7) and the sharded PDES engine (section 14)
+byte-identical:
 
 =========== ===============================================================
 rule        contract it pins
 =========== ===============================================================
 SEED-001    every RNG construction's seed traces back to ``derive_seed``
-FORK-001    no worker-reachable code writes module-level state
+FORK-001    no ``repro.*`` function writes module-level state
 MERGE-001   merge/ledger/audit accumulation iterates in sorted order
 FLOAT-001   no float accumulation over unordered collections in hot code
 SUPP-001    every suppression comment actually suppresses something
 STALE-001   every allowlist entry still matches a code site
 =========== ===============================================================
 
-SEED/FORK/STALE are ``"project"``-scope checkers running over the
-:class:`~repro.lint.graph.ProjectGraph`; MERGE/FLOAT are single-file but
-belong to the same parallelism-safety family; SUPP is the ``"audit"``
-pass that runs after every other rule has consumed its suppressions.
+Like every rule, these see one file at a time.  FORK-001 does not ask
+which functions a worker can reach: it treats every function in
+``repro.*`` as one a worker might run, and a write through an import
+alias (``ws.COUNTS[k] = 1``) names the other module's global, so no
+project-wide view is needed.  SUPP-001 is the audit the engine runs on
+each file after every other rule has consumed its suppressions.
 
-Like the syntactic rules, these are deliberately heuristic: seed taint
-follows assignments, call arguments and ``seed``-ish names rather than
-types, and reachability is an over-approximation.  The escape hatches
-are the audited allowlists (:data:`FORK_STATE_ALLOWLIST` here,
+The rules are deliberately heuristic: seed taint follows assignments,
+call arguments and ``seed``-ish names rather than types.  The escape
+hatches are the audited allowlists (:data:`FORK_STATE_ALLOWLIST` here,
 ``FAST_PATH_ALLOWLIST`` in :mod:`repro.lint.checkers`) and the
 ``# repro-lint: disable=<rule>`` comment -- both of which are themselves
 audited, by STALE-001 and SUPP-001.
@@ -38,37 +39,30 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
 
+from repro.lint import checkers as _checkers
+from repro.lint.checkers import _in_packages, _set_locals, fast_path_sites
 from repro.lint.engine import (
     Finding,
+    ImportMap,
     SourceFile,
     checker,
     walk_with_qualname,
 )
-from repro.lint.checkers import (
-    _in_packages,
-    _set_locals,
-    fast_path_sites,
-)
-from repro.lint.graph import ModuleIndex, ProjectGraph, _own_statements
 
 __all__ = [
     "FLOAT_HOT_PREFIXES",
     "FORK_STATE_ALLOWLIST",
     "MERGE_SENSITIVE_FUNCTIONS",
     "SEED_MODULE_PREFIXES",
+    "module_state_writes",
 ]
 
 SEED_MODULE_PREFIXES = ("repro", "benchmarks", "examples")
-"""Package prefixes where SEED-001 applies to *all* code.
-
-Outside these, SEED-001 still applies to any function that is
-worker-reachable (a test helper executed inside a shard would count).
-"""
+"""Package prefixes whose modules SEED-001 checks."""
 
 _RNG_CONSTRUCTORS = frozenset({
     "random.Random",
@@ -98,7 +92,7 @@ Growing this set is a deliberate act -- add the entry here *and* a
 comment at the write site explaining why the state is fork-safe (e.g.
 an idempotent memo, or deliberately process-local), mirroring
 ``FAST_PATH_ALLOWLIST``'s audit discipline.  STALE-001 flags entries
-whose write site has since disappeared.
+whose write site has since disappeared from the named module.
 """
 
 MERGE_SENSITIVE_FUNCTIONS = frozenset({
@@ -133,8 +127,44 @@ associativity-preserving delay grouping contract -- the whole of
 ``repro.shard`` and ``repro.runner``.
 """
 
+_MUTATOR_METHODS = frozenset({
+    "add",
+    "append",
+    "appendleft",
+    "clear",
+    "discard",
+    "extend",
+    "extendleft",
+    "insert",
+    "pop",
+    "popitem",
+    "remove",
+    "setdefault",
+    "update",
+})
+"""Container methods that mutate their receiver in place."""
+
 
 # -- shared helpers ----------------------------------------------------------
+
+
+def _own_statements(scope: ast.AST) -> Iterator[ast.AST]:
+    """Nodes of a scope in source order, skipping nested defs.
+
+    Nested functions are scopes of their own; their writes and RNG
+    constructions must not be attributed to the enclosing function.
+    Source (preorder) traversal matters to SEED-001's reused-seed check,
+    which flags the *second* construction sharing a seed variable.
+    """
+    stack = list(reversed(list(ast.iter_child_nodes(scope))))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            stack.extend(
+                reversed(list(ast.iter_child_nodes(node)))
+            )
 
 
 _UNORDERED_VIEW_ATTRS = frozenset({"items", "keys", "values"})
@@ -204,7 +234,7 @@ def _seed_argument(call: ast.Call) -> Tuple[str, Optional[ast.expr]]:
 
 def _seed_is_clean(
     expr: ast.expr,
-    index: ModuleIndex,
+    imports: ImportMap,
     assignments: Dict[str, List[ast.expr]],
     depth: int = 0,
 ) -> bool:
@@ -220,20 +250,20 @@ def _seed_is_clean(
     if depth > 6:
         return False
     if isinstance(expr, ast.Call):
-        resolved = index.imports.resolve(expr.func) or ""
+        resolved = imports.resolve(expr.func) or ""
         final = resolved.rsplit(".", 1)[-1]
         if final in _SANCTIONED_SEED_FNS or "seed" in final.lower():
             return True
         if final == "int" and len(expr.args) == 1:
             return _seed_is_clean(
-                expr.args[0], index, assignments, depth + 1
+                expr.args[0], imports, assignments, depth + 1
             )
         return False
     if isinstance(expr, ast.Name):
         if "seed" in expr.id.lower():
             return True
         return any(
-            _seed_is_clean(value, index, assignments, depth + 1)
+            _seed_is_clean(value, imports, assignments, depth + 1)
             for value in assignments.get(expr.id, [])
         )
     if isinstance(expr, ast.Attribute):
@@ -266,15 +296,14 @@ def _scope_assignments(scope: ast.AST) -> Dict[str, List[ast.expr]]:
 
 
 def _check_seed_scope(
-    index: ModuleIndex, scope: ast.AST
+    src: SourceFile, imports: ImportMap, scope: ast.AST
 ) -> Iterator[Finding]:
-    src = index.source
     assignments = _scope_assignments(scope)
     seen_seed_names: Set[str] = set()
     for node in _own_statements(scope):
         if not isinstance(node, ast.Call):
             continue
-        resolved = index.imports.resolve(node.func)
+        resolved = imports.resolve(node.func)
         if resolved not in _RNG_CONSTRUCTORS:
             continue
         kind, seed = _seed_argument(node)
@@ -290,7 +319,7 @@ def _check_seed_scope(
             )
             continue
         assert seed is not None
-        if not _seed_is_clean(seed, index, assignments):
+        if not _seed_is_clean(seed, imports, assignments):
             what = (
                 "raw seed literal" if isinstance(seed, ast.Constant)
                 else "seed expression"
@@ -320,9 +349,8 @@ def _check_seed_scope(
 @checker(
     "SEED-001",
     "RNG seed does not trace back to derive_seed/shard_stream_seed",
-    scope="project",
 )
-def check_seed_taint(graph: ProjectGraph) -> Iterator[Finding]:
+def check_seed_taint(src: SourceFile) -> Iterator[Finding]:
     """Every RNG stream must be minted from a derived seed.
 
     Stream disjointness (DESIGN.md sections 2 and 14) is what makes
@@ -331,54 +359,122 @@ def check_seed_taint(graph: ProjectGraph) -> Iterator[Finding]:
     any one stream can be reproduced in isolation.  A raw literal or a
     reused seed variable silently correlates streams -- the failure only
     shows up as statistically-impossible confidence intervals much
-    later.  Applies to all repro/benchmarks/examples code plus anything
-    worker-reachable.
+    later.  Applies to all repro/benchmarks/examples code.
     """
-    for module in sorted(graph.modules):
-        index = graph.modules[module]
-        module_in_scope = _in_packages(module, SEED_MODULE_PREFIXES)
-        if module_in_scope:
-            yield from _check_seed_scope(index, index.source.tree)
-        for qual, info in sorted(index.functions.items()):
-            if module_in_scope or graph.is_reachable(module, qual):
-                yield from _check_seed_scope(index, info.node)
+    if not _in_packages(src.module, SEED_MODULE_PREFIXES):
+        return
+    imports = ImportMap(src.tree)
+    yield from _check_seed_scope(src, imports, src.tree)
+    for _qual, node in _function_scopes(src):
+        yield from _check_seed_scope(src, imports, node)
 
 
 # -- FORK-001 ----------------------------------------------------------------
 
 
+def module_state_writes(
+    src: SourceFile,
+) -> Iterator[Tuple[str, Tuple[str, str], ast.AST]]:
+    """``(qualname, (module, global), node)`` for every write a function
+    in ``src`` makes to module-level state.
+
+    A write is a ``global NAME`` rebind (mutable or not: a bool latch
+    flipped in a worker is as lost on fork-exit as a dict entry), a
+    container store or delete (``G[k] = v``, ``G.attr = v``,
+    ``del G[k]``), or a mutator call (``G.setdefault(k, v)``).  ``G`` is
+    this module's global, or another module's reached through an import
+    (``from m import G``, ``import m as ws; ws.G``).  Module-level
+    (import-time) code is not scanned.  FORK-001 flags these writes and
+    STALE-001 keeps :data:`FORK_STATE_ALLOWLIST` matched to them.
+    """
+    imports = ImportMap(src.tree)
+    own_globals = {
+        target.id
+        for stmt in src.tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (
+            stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        )
+        if isinstance(target, ast.Name)
+    }
+
+    def owner(node: ast.expr) -> Optional[Tuple[str, str]]:
+        """(module, name) when ``node`` denotes a module-level global."""
+        if isinstance(node, ast.Name):
+            if node.id in own_globals:
+                return (src.module, node.id)
+            imported = imports.names.get(node.id)
+            if imported is not None and "." in imported:
+                module, _, name = imported.rpartition(".")
+                return (module, name)
+            return None
+        if isinstance(node, ast.Attribute) and isinstance(
+            node.value, ast.Name
+        ):
+            # ``import m as ws`` or ``from repro import m as ws``.
+            module = imports.modules.get(node.value.id) or imports.names.get(
+                node.value.id
+            )
+            if module is not None:
+                return (module, node.attr)
+        return None
+
+    for qual, fn in _function_scopes(src):
+        declared = {
+            name
+            for node in _own_statements(fn) if isinstance(node, ast.Global)
+            for name in node.names
+        }
+        for node in _own_statements(fn):
+            targets: List[ast.expr] = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute
+            ) and node.func.attr in _MUTATOR_METHODS:
+                targets = [node.func]  # the receiver is what is written
+            for target in targets:
+                hit: Optional[Tuple[str, str]] = None
+                if isinstance(target, ast.Name) and target.id in declared:
+                    hit = (src.module, target.id)
+                elif isinstance(target, (ast.Subscript, ast.Attribute)):
+                    hit = owner(target.value)
+                if hit is not None:
+                    yield qual, hit, node
+
+
 @checker(
     "FORK-001",
-    "worker-reachable code writes module-level state",
-    scope="project",
+    "function in repro.* writes module-level state",
 )
-def check_fork_state(graph: ProjectGraph) -> Iterator[Finding]:
-    """No code reachable from a worker entry point may write a module
-    global.
+def check_fork_state(src: SourceFile) -> Iterator[Finding]:
+    """No ``repro.*`` function may write a module global.
 
     Fork workers (DESIGN.md section 7) and shard processes (section 14)
     inherit module state at fork time and throw it away at exit: a
     module-level cache or latch written inside a worker is invisible to
     the parent and to sibling workers, so results silently depend on
-    which process ran which job.  State written only at import time is
-    fork-safe (every process replays it identically); state a worker
-    writes must live on job/shard-local objects instead, or be
-    explicitly audited into :data:`FORK_STATE_ALLOWLIST`.
+    which process ran which job.  Every function is treated as one a
+    worker might run.  State written only at import time is fork-safe
+    (every process replays it identically); state a function writes must
+    live on job/shard-local objects instead, or be explicitly audited
+    into :data:`FORK_STATE_ALLOWLIST`.
     """
-    for info in graph.reachable_functions():
-        src = graph.source(info.module)
-        for wmod, wname, node in info.global_writes:
-            if (wmod, wname) in FORK_STATE_ALLOWLIST:
-                continue
-            yield src.finding(
-                "FORK-001",
-                node,
-                f"{info.qualname} is worker-reachable but writes "
-                f"module-level state {wmod}.{wname}; fork workers "
-                "drop this write on exit -- keep worker state on "
-                "job/shard-local objects, or audit the pair into "
-                "repro.lint.flow.FORK_STATE_ALLOWLIST",
-            )
+    if not _in_packages(src.module, ("repro",)):
+        return
+    for qual, (wmod, wname), node in module_state_writes(src):
+        if (wmod, wname) in FORK_STATE_ALLOWLIST:
+            continue
+        yield src.finding(
+            "FORK-001",
+            node,
+            f"{qual} writes module-level state {wmod}.{wname}; fork "
+            "workers drop this write on exit -- keep worker state on "
+            "job/shard-local objects, or audit the pair into "
+            "repro.lint.flow.FORK_STATE_ALLOWLIST",
+        )
 
 
 # -- MERGE-001 ---------------------------------------------------------------
@@ -488,112 +584,80 @@ def check_float_accumulation(src: SourceFile) -> Iterator[Finding]:
 @checker(
     "SUPP-001",
     "suppression comment that no longer suppresses anything",
-    scope="audit",
 )
-def check_unused_suppressions(
-    sources: Sequence[SourceFile],
-) -> Iterator[Finding]:
+def check_unused_suppressions(src: SourceFile) -> Iterator[Finding]:
     """Every ``# repro-lint: disable`` comment must still earn its keep.
 
     A suppression is a standing exception to a determinism contract;
     once the code it excused is gone, the comment becomes a latent hole
-    the next edit silently falls into.  This audit runs after every
-    other rule and flags comments that matched no finding.  Comments
-    naming SUPP-001 itself are exempt (the one sanctioned way to keep a
-    speculative suppression).  Skipped on ``--select`` runs, where most
-    rules never got the chance to consume their comments.
+    the next edit silently falls into.  This audit runs on each file
+    after every other rule and flags comments that matched no finding.
+    Comments naming SUPP-001 itself are exempt (the one sanctioned way
+    to keep a speculative suppression).  Skipped on ``--select`` runs,
+    where most rules never got the chance to consume their comments.
     """
-    for src in sources:
-        for suppression in src.suppressions:
-            if suppression.used or "SUPP-001" in suppression.rules:
-                continue
-            listed = ",".join(sorted(suppression.rules))
-            yield Finding(
-                rule="SUPP-001",
-                path=str(src.path),
-                line=suppression.line,
-                col=0,
-                message=(
-                    f"suppression for {listed} matched no finding; "
-                    "delete the stale comment (or list SUPP-001 to "
-                    "keep it deliberately)"
-                ),
-                module=src.module,
-            )
+    for suppression in src.suppressions:
+        if suppression.used or "SUPP-001" in suppression.rules:
+            continue
+        listed = ",".join(sorted(suppression.rules))
+        yield Finding(
+            rule="SUPP-001",
+            path=str(src.path),
+            line=suppression.line,
+            col=0,
+            message=(
+                f"suppression for {listed} matched no finding; "
+                "delete the stale comment (or list SUPP-001 to "
+                "keep it deliberately)"
+            ),
+            module=src.module,
+        )
 
 
 # -- STALE-001 ---------------------------------------------------------------
 
 
-def _allowlist_location(
-    graph: ProjectGraph, defining_module: str, list_name: str,
-    fallback: ModuleIndex,
-) -> Tuple[str, int, str]:
-    """(path, line, module) pointing at the allowlist definition.
-
-    Falls back to the stale entry's own module when the defining module
-    is outside the linted path set (partial runs in tests).
-    """
-    index = graph.modules.get(defining_module)
-    if index is not None and list_name in index.globals:
-        return (
-            str(index.source.path),
-            index.globals[list_name],
-            defining_module,
-        )
-    return (str(fallback.source.path), 1, fallback.module)
-
-
 @checker(
     "STALE-001",
     "allowlist entry no longer matches any code site",
-    scope="project",
 )
-def check_stale_allowlists(graph: ProjectGraph) -> Iterator[Finding]:
+def check_stale_allowlists(src: SourceFile) -> Iterator[Finding]:
     """Audited allowlists must shrink when their sites disappear.
 
     ``FAST_PATH_ALLOWLIST`` and ``FORK_STATE_ALLOWLIST`` are standing
     permissions to bypass validation; an entry whose code site was
     refactored away is an invitation for new unaudited code to hide
-    under an old audit.  An entry is stale when its module is in the
-    linted tree but no candidate site (fast-path push / global write)
-    matches it; entries whose module is outside the linted paths are
+    under an old audit.  Each entry is checked against the file of the
+    module it names: it is stale when no fast-path push site (the sites
+    FAST-001 sees) or no global write (the writes FORK-001 sees) there
+    matches it.  Entries whose module is outside the linted paths are
     left alone, so partial runs do not misfire.
     """
-    from repro.lint import checkers as _checkers
-
-    for module, qual in sorted(_checkers.FAST_PATH_ALLOWLIST):
-        index = graph.modules.get(module)
-        if index is None:
-            continue
-        sites = {q for q, _node in fast_path_sites(index.source)}
-        if qual not in sites:
-            path, line, mod = _allowlist_location(
-                graph, "repro.lint.checkers", "FAST_PATH_ALLOWLIST", index
-            )
-            yield Finding(
-                rule="STALE-001", path=path, line=line, col=0,
-                message=(
-                    f"FAST_PATH_ALLOWLIST entry ({module}, {qual}) "
-                    "matches no fast-path push site; remove the stale "
-                    "entry"
-                ),
-                module=mod,
-            )
-    for module, name in sorted(FORK_STATE_ALLOWLIST):
-        index = graph.modules.get(module)
-        if index is None:
-            continue
-        if not graph.writers_of(module, name):
-            path, line, mod = _allowlist_location(
-                graph, "repro.lint.flow", "FORK_STATE_ALLOWLIST", index
-            )
-            yield Finding(
-                rule="STALE-001", path=path, line=line, col=0,
-                message=(
-                    f"FORK_STATE_ALLOWLIST entry ({module}, {name}) "
-                    "matches no global-write site; remove the stale "
-                    "entry"
-                ),
-                module=mod,
-            )
+    fast = sorted(
+        qual for module, qual in _checkers.FAST_PATH_ALLOWLIST
+        if module == src.module
+    )
+    fork = sorted(
+        name for module, name in FORK_STATE_ALLOWLIST
+        if module == src.module
+    )
+    stale: List[str] = []
+    if fast:
+        sites = {qual for qual, _node in fast_path_sites(src)}
+        stale.extend(
+            f"FAST_PATH_ALLOWLIST entry ({src.module}, {qual}) matches no "
+            "fast-path push site" for qual in fast if qual not in sites
+        )
+    if fork:
+        written = {owner for _q, owner, _n in module_state_writes(src)}
+        stale.extend(
+            f"FORK_STATE_ALLOWLIST entry ({src.module}, {name}) matches "
+            "no global-write site" for name in fork
+            if (src.module, name) not in written
+        )
+    for what in stale:
+        yield Finding(
+            rule="STALE-001", path=str(src.path), line=1, col=0,
+            message=f"{what} in this file; remove the stale entry",
+            module=src.module,
+        )

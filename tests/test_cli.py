@@ -15,7 +15,7 @@ class TestParser:
         assert set(sub.choices) == {
             "table4", "table5", "fig6", "fig7", "fig8", "fig9", "fig10",
             "drop-model", "packaging", "awgr", "diagnose", "resilience",
-            "trace", "lint", "zoo",
+            "trace", "zoo",
         }
 
     def test_requires_subcommand(self):

@@ -1,64 +1,46 @@
-"""RNG-hygiene audit.
+"""RNG hygiene at runtime.
 
 Reproducibility rests on every random draw flowing through explicitly
 seeded generators (``repro.sim.rand.stream`` / per-test ``random.Random``
-instances).  A single ``random.seed(...)`` or module-level draw anywhere
-in the source or test tree silently couples unrelated tests and breaks
-the serial-vs-parallel determinism guarantee, so this suite greps for it
-at test time and also checks the stream factory really is stateless.
+instances).  The static half -- no ``random.seed(...)`` or module-level
+draw anywhere in the source, test, benchmark or example trees -- is
+``repro-lint``'s RNG-001, run here on its own over those trees.  The
+rest checks the runtime half: the stream factory is stateless and a
+simulation leaves the global RNG untouched.
 """
 
 import random
-import re
 from pathlib import Path
 
 import pytest
 
+from repro.lint import DEFAULT_EXCLUDED_DIRS, run_lint
+from repro.lint.report import render_text
 from repro.sim import rand
 
 REPO = Path(__file__).resolve().parent.parent
 SCANNED_TREES = ("src/repro", "tests", "benchmarks")
 
-GLOBAL_RNG_PATTERNS = (
-    # Seeding or drawing from the process-global stdlib RNG.  The
-    # lookbehind lets instance calls through (e.g. ``self._rng.random()``,
-    # ``np.random.Generator`` annotations) while catching module-level use.
-    re.compile(
-        r"(?<![.\w])random\.(seed|random|randint|randrange|choice|choices"
-        r"|shuffle|sample|uniform|expovariate|gauss|getrandbits)\s*\("
-    ),
-    # The numpy legacy global RNG.
-    re.compile(r"\bnp\.random\.(seed|rand|randn|randint|choice|shuffle)\s*\("),
-    re.compile(r"\bnumpy\.random\.(seed|rand|randn|randint|choice|shuffle)\s*\("),
-)
-
-
-def python_sources():
-    for tree in SCANNED_TREES:
-        for path in sorted((REPO / tree).rglob("*.py")):
-            # The lint fixture corpus is deliberately full of RNG
-            # violations (repro-lint's RNG-001 true positives); the
-            # lint engine excludes it for the same reason.
-            if "lint_fixtures" in path.parts:
-                continue
-            yield path
-
 
 def test_no_global_rng_use_anywhere():
-    me = Path(__file__).resolve()
-    offenders = []
-    for path in python_sources():
-        if path.resolve() == me:
-            continue
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            for pattern in GLOBAL_RNG_PATTERNS:
-                if pattern.search(line):
-                    rel = path.relative_to(REPO)
-                    offenders.append(f"{rel}:{lineno}: {line.strip()}")
-    assert not offenders, (
-        "global RNG state used; route draws through repro.sim.rand.stream "
-        "or a local random.Random instance:\n" + "\n".join(offenders)
+    """RNG-001 alone over every tree: no global seeding or draw."""
+    report = run_lint(
+        [REPO / tree for tree in SCANNED_TREES + ("examples",)],
+        select=["RNG-001"], exclude_dirs=DEFAULT_EXCLUDED_DIRS,
     )
+    assert report.findings == [], (
+        "global RNG state used; route draws through repro.sim.rand.stream "
+        "or a local random.Random instance:\n" + render_text(report)
+    )
+
+
+@pytest.mark.parametrize("tree", SCANNED_TREES)
+def test_scan_covers_nonempty_trees(tree):
+    """Guard the audit itself: if a tree moves, the scan must fail loudly
+    rather than silently scanning nothing."""
+    report = run_lint([REPO / tree], select=["RNG-001"],
+                      exclude_dirs=DEFAULT_EXCLUDED_DIRS)
+    assert report.n_files > 0, tree
 
 
 def test_rand_module_holds_no_shared_generator():
@@ -122,15 +104,10 @@ def test_global_random_state_untouched_by_a_simulation():
     the process-global RNG."""
     from repro.analysis.experiments import run_open_loop
 
-    random.seed(12345)  # noqa: local to this test, restored below
     before = random.getstate()
-    run_open_loop("baldur", 16, "transpose", 0.5, 2, seed=0)
-    assert random.getstate() == before
-    random.seed()
+    try:
+        run_open_loop("baldur", 16, "transpose", 0.5, 2, seed=0)
+        assert random.getstate() == before
+    finally:
+        random.setstate(before)
 
-
-@pytest.mark.parametrize("tree", SCANNED_TREES)
-def test_scan_covers_nonempty_trees(tree):
-    """Guard the audit itself: if a tree moves, the scan must fail loudly
-    rather than silently scanning nothing."""
-    assert any((REPO / tree).rglob("*.py")), tree
