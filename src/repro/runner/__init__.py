@@ -4,7 +4,7 @@ Every paper figure is a grid of independent packet-level simulations
 (network x traffic x load x seed).  This package turns such grids into
 declarative :class:`~repro.runner.spec.SweepSpec` objects, expands them
 into jobs with deterministically derived per-job RNG seeds, executes the
-jobs across worker processes (serial fallback included), and caches
+jobs through one supervisor (on worker processes or in process), and caches
 completed results on disk keyed by a content hash of the job parameters
 plus a fingerprint of the simulator source code.
 
@@ -41,7 +41,6 @@ from repro.runner.engine import (
     resolve_jobs,
     run_sweep,
 )
-from repro.runner.faults import InjectedWorkerFault, WorkerFaultPlan
 from repro.runner.jobs import JOB_KINDS, execute_job
 from repro.runner.journal import SweepJournal
 from repro.runner.policy import FaultPolicy
@@ -49,7 +48,6 @@ from repro.runner.spec import Job, SweepSpec, canonical_json
 
 __all__ = [
     "FaultPolicy",
-    "InjectedWorkerFault",
     "Job",
     "JobOutcome",
     "JOB_KINDS",
@@ -58,7 +56,6 @@ __all__ = [
     "SweepReport",
     "SweepResult",
     "SweepSpec",
-    "WorkerFaultPlan",
     "canonical_json",
     "code_fingerprint",
     "execute_job",

@@ -2,10 +2,11 @@
 
 :func:`run_sweep` is the single entry point every experiment driver and
 CLI command goes through.  It expands the spec, satisfies what it can
-from the resume journal and the cache, executes the rest either serially
-or on a ``ProcessPoolExecutor``, and reassembles results **in expansion
-order** -- so the output is byte-identical no matter how many workers
-ran it or in which order they finished.
+from the resume journal and the cache, runs the rest through one
+supervisor loop (on a ``ProcessPoolExecutor``, or in-process for one
+worker), and reassembles results **in expansion order** -- so the output
+is byte-identical no matter how many workers ran it or in which order
+they finished.
 
 The execution layer is fault tolerant (DESIGN.md section 12):
 
@@ -51,7 +52,6 @@ from typing import (
 from repro.errors import ConfigurationError, SweepExecutionError
 from repro.obs.metrics import RunnerCounters
 from repro.runner.cache import ResultCache
-from repro.runner.faults import WorkerFaultPlan
 from repro.runner.jobs import execute_job
 from repro.runner.journal import SweepJournal
 from repro.runner.policy import FaultPolicy
@@ -88,11 +88,13 @@ class JobOutcome:
 
     ``status`` is ``"ok"`` (``result`` holds the payload), ``"failed"``
     (the executor raised or returned a corrupt result with no retry
-    budget left, or the sweep deadline expired before the job started),
-    ``"timeout"`` (cancelled by the per-job or sweep wall-clock budget),
-    or ``"quarantined"`` (a poison job: it exhausted ``max_attempts``
-    retries or repeatedly crashed its worker).  Non-``ok`` outcomes carry
-    a JSON-safe ``error`` payload instead of a ``result``.
+    budget left, the pool could not be rebuilt, or the sweep deadline
+    expired before the job was ever dispatched), ``"timeout"`` (cancelled
+    by the per-job budget, or the sweep deadline expired while it ran or
+    while it waited to retry), or ``"quarantined"`` (a poison job: it
+    exhausted ``max_attempts`` retries or repeatedly crashed its worker).
+    Non-``ok`` outcomes carry a JSON-safe ``error`` payload instead of a
+    ``result``.
     """
 
     job: Job
@@ -240,29 +242,58 @@ class SweepResult:
         return canonical_json({"spec": self.spec.payload(), "jobs": jobs})
 
 
-def _timed_execute(
-    kind: str,
-    params: Dict[str, Any],
-    key: str = "",
-    dispatch: int = 1,
-    plan: Optional[WorkerFaultPlan] = None,
-) -> _WorkerResult:
-    """Worker-side wrapper: run one job and measure its wall time.
-
-    ``plan`` is the injectable :class:`WorkerFaultPlan` tests use to
-    script crashes/hangs/failures; ``None`` (production) short-circuits
-    to plain execution.
-    """
-    if plan is not None:
-        override = plan.apply(key, dispatch)
-        if override is not None:
-            return override, 0.0
+def _timed_execute(kind: str, params: Dict[str, Any]) -> _WorkerResult:
+    """Worker-side wrapper: run one job and measure its wall time."""
     start = time.perf_counter()
     result = execute_job(kind, params)
     return result, time.perf_counter() - start
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+class _InlineExecutor:
+    """The supervisor's in-process executor (one worker, or one job).
+
+    ``submit`` runs the job before returning an already-finished future,
+    so ``wait`` returns at once and a per-job timeout never fires: a
+    running job cannot be preempted without a worker process to kill.
+    ``Exception``s land on the future like a worker's would;
+    ``BaseException`` (Ctrl-C) propagates and aborts the sweep.
+    """
+
+    def submit(self, fn: Callable[..., _WorkerResult],
+               *args: Any) -> Future[_WorkerResult]:
+        future: Future[_WorkerResult] = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True,
+                 cancel_futures: bool = False) -> None:
+        pass
+
+
+_Executor = Union[ProcessPoolExecutor, _InlineExecutor]
+
+
+def _make_pool(workers: int, n_jobs: int) -> Optional[_Executor]:
+    """A process pool for two or more workers and jobs, else the inline
+    executor; ``None`` when a process pool cannot be created."""
+    if workers < 2 or n_jobs < 2:
+        return _InlineExecutor()
+    try:
+        return ProcessPoolExecutor(max_workers=min(workers, n_jobs))
+    except (OSError, PermissionError, ValueError):
+        return None
+
+
+# Clock seams: the supervisor reads time and sleeps only through these,
+# so a test can run it on a fake clock.
+_clock = time.monotonic
+_sleep = time.sleep
+
+
+def _terminate_pool(pool: _Executor) -> None:
     """Kill a pool *now*, including hung workers.
 
     ``shutdown(cancel_futures=True)`` alone would still join workers that
@@ -278,13 +309,12 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class _SweepState:
-    """Mutable per-run bookkeeping shared by the serial and pool paths."""
+    """Mutable per-run bookkeeping of one sweep."""
 
     def __init__(
         self,
         expanded: List[Job],
         policy: FaultPolicy,
-        plan: Optional[WorkerFaultPlan],
         report: SweepReport,
         counters: RunnerCounters,
         progress: Optional[ProgressFn],
@@ -294,7 +324,6 @@ class _SweepState:
     ) -> None:
         self.expanded = expanded
         self.policy = policy
-        self.plan = plan
         self.report = report
         self.counters = counters
         self.progress = progress
@@ -312,7 +341,7 @@ class _SweepState:
         self.failures = [0] * n
         self.crashes = [0] * n
         self.deadline_at: Optional[float] = (
-            time.monotonic() + policy.deadline_s
+            _clock() + policy.deadline_s
             if policy.deadline_s is not None else None
         )
 
@@ -436,20 +465,6 @@ class _SweepState:
             return False
         return True
 
-    def check_deadline(self) -> bool:
-        """True once the sweep-level deadline has expired."""
-        return (
-            self.deadline_at is not None
-            and time.monotonic() >= self.deadline_at
-        )
-
-    def fail_remaining(self, indices: List[int], error_type: str,
-                       message: str) -> None:
-        """Mark every not-yet-finished index terminally failed."""
-        for i in indices:
-            if self.status[i] is None:
-                self.finish_bad(i, "failed", error_type, message)
-
 
 def run_sweep(
     spec: SweepSpec,
@@ -459,7 +474,6 @@ def run_sweep(
     progress: Optional[ProgressFn] = None,
     policy: Optional[FaultPolicy] = None,
     resume: Optional[Union[str, Path]] = None,
-    fault_plan: Optional[WorkerFaultPlan] = None,
 ) -> SweepResult:
     """Execute every job of ``spec`` and return the assembled results.
 
@@ -474,7 +488,6 @@ def run_sweep(
     timeouts, deadline, retries, record-vs-raise); ``resume`` names an
     append-only journal file -- completed jobs found there are not
     re-executed, and every completion is checkpointed to it.
-    ``fault_plan`` injects scripted worker faults (tests only).
     """
     workers = resolve_jobs(jobs)
     policy = policy if policy is not None else FaultPolicy()
@@ -491,8 +504,8 @@ def run_sweep(
         resumed_records = journal.load()
 
     cache_keys: List[Optional[str]] = [None] * len(expanded)
-    state = _SweepState(expanded, policy, fault_plan, report, counters,
-                        progress, cache, cache_keys, journal)
+    state = _SweepState(expanded, policy, report, counters, progress,
+                        cache, cache_keys, journal)
     to_run: List[int] = []
 
     try:
@@ -516,15 +529,7 @@ def run_sweep(
 
         if to_run:
             report.executed = len(to_run)
-            report.parallel = workers > 1 and len(to_run) > 1
-            if report.parallel:
-                report.parallel = _run_parallel(state, to_run, workers)
-                if not report.parallel:
-                    report.fallback = "serial"
-            if not report.parallel:
-                _run_serial(
-                    state, [i for i in to_run if state.status[i] is None]
-                )
+            _supervise(state, to_run, workers)
     finally:
         if journal is not None:
             journal.close()
@@ -551,45 +556,6 @@ def run_sweep(
     return SweepResult(spec, outcomes, report)
 
 
-def _run_serial(state: _SweepState, indices: List[int]) -> None:
-    """Execute jobs in-process, with retries/backoff and deadline checks.
-
-    Per-job timeouts are unenforceable without a worker process (a
-    running job cannot be preempted), so only the sweep deadline applies
-    here -- checked between jobs and between attempts.
-    """
-    for n, i in enumerate(indices):
-        if state.check_deadline():
-            state.fail_remaining(indices[n:], "Deadline",
-                                 "sweep deadline expired before this job "
-                                 "started")
-            return
-        job = state.expanded[i]
-        while state.status[i] is None:
-            state.dispatches[i] += 1
-            try:
-                result, dt = _timed_execute(
-                    job.kind, dict(job.params), job.key,
-                    state.dispatches[i], state.plan,
-                )
-            except Exception as exc:
-                delay = state.record_failure(i, exc, str(exc))
-            else:
-                if isinstance(result, dict):
-                    state.finish_ok(i, result, dt)
-                    break
-                delay = state.record_failure(
-                    i, None,
-                    f"executor returned {type(result).__name__}, "
-                    "not a result dict",
-                )
-            if delay is not None and delay > 0:
-                time.sleep(delay)
-            if state.status[i] is None and state.check_deadline():
-                state.finish_bad(i, "timeout", "Deadline",
-                                 "sweep deadline expired mid-retry")
-
-
 class _PendingJob:
     """A job awaiting (re-)dispatch, possibly held back by backoff."""
 
@@ -600,22 +566,19 @@ class _PendingJob:
         self.ready_at = ready_at
 
 
-def _make_pool(workers: int, n_jobs: int) -> Optional[ProcessPoolExecutor]:
-    try:
-        return ProcessPoolExecutor(max_workers=min(workers, n_jobs))
-    except (OSError, PermissionError, ValueError):
-        return None
+def _supervise(state: _SweepState, to_run: List[int], workers: int) -> None:
+    """Run the pending jobs to terminal statuses on a rebuildable executor.
 
-
-def _run_parallel(state: _SweepState, to_run: List[int],
-                  workers: int) -> bool:
-    """Supervise the pending jobs on a (rebuildable) process pool.
-
-    Returns False if a pool cannot be created at all -- e.g. sandboxed
-    environments without process-spawn rights -- in which case the
-    fallback is *announced* (RuntimeWarning + ``fallback`` progress
-    event + ``SweepReport.fallback``), never silent, and the caller runs
-    the jobs serially.
+    :func:`_make_pool` supplies a process pool, or the in-process
+    :class:`_InlineExecutor` for one worker or one job.  If a pool cannot
+    be created at all -- e.g. sandboxed environments without
+    process-spawn rights -- the fallback is *announced*
+    (RuntimeWarning + ``fallback`` progress event +
+    ``SweepReport.fallback``), never silent, and this same loop runs on
+    the inline executor.  Retries, backoff, the deadline, crash
+    attribution and record/raise are thus implemented once; per-job
+    timeouts only fire on a pool, since an inline future has finished
+    before its clock is checked.
     """
     policy = state.policy
     pool = _make_pool(workers, len(to_run))
@@ -629,7 +592,10 @@ def _run_parallel(state: _SweepState, to_run: List[int],
         state.counters.incr("serial_fallbacks")
         state.emit({"event": "fallback", "mode": "serial",
                     "reason": "process pool unavailable"})
-        return False
+        state.report.fallback = "serial"
+        workers = 1
+        pool = _InlineExecutor()
+    state.report.parallel = workers > 1 and len(to_run) > 1
 
     pending: Deque[_PendingJob] = deque(_PendingJob(i) for i in to_run)
     in_flight: Dict[Future[_WorkerResult], Tuple[int, float]] = {}
@@ -638,10 +604,11 @@ def _run_parallel(state: _SweepState, to_run: List[int],
     suspects: Set[int] = set()
 
     def requeue(i: int, delay: float = 0.0) -> None:
-        pending.append(_PendingJob(i, time.monotonic() + delay))
+        pending.append(_PendingJob(i, _clock() + delay))
 
     def rebuild(reason: str) -> bool:
-        """Replace a broken/poisoned pool; False when the budget is gone."""
+        """Replace a broken/poisoned pool.  False when the budget is gone:
+        every pending job has then failed with ``BrokenPool``."""
         nonlocal pool, rebuilds
         assert pool is not None
         _terminate_pool(pool)
@@ -651,44 +618,70 @@ def _run_parallel(state: _SweepState, to_run: List[int],
         state.counters.incr("pool_rebuilds")
         state.emit({"event": "pool-rebuild", "reason": reason,
                     "rebuilds": rebuilds})
-        if rebuilds > policy.max_pool_rebuilds:
-            return False
-        pool = _make_pool(workers, len(to_run))
-        return pool is not None
-
-    def abort_remaining(error_type: str, message: str) -> None:
-        remaining = [i for i, _ in in_flight.values()]
-        in_flight.clear()
-        state.fail_remaining(
-            remaining + [p.index for p in pending], error_type, message)
+        if rebuilds <= policy.max_pool_rebuilds:
+            pool = _make_pool(workers, len(to_run))
+        if pool is not None:
+            return True
+        for item in pending:
+            state.finish_bad(item.index, "failed", "BrokenPool",
+                             "worker pool broke more than "
+                             f"{policy.max_pool_rebuilds} times")
         pending.clear()
+        return False
+
+    def pool_broke(lost: List[int], blame: bool) -> bool:
+        """Requeue every job a pool break lost, then :func:`rebuild`.
+
+        Only a job alone in flight at a break seen by ``wait`` (``blame``)
+        is charged the crash.  Several lost jobs are unattributable: they
+        charge nobody and become suspects, re-dispatched one at a time.
+        """
+        state.report.worker_crashes += 1
+        state.counters.incr("worker_crashes")
+        lost += [i for i, _ in in_flight.values()]
+        in_flight.clear()
+        if blame and len(lost) == 1:
+            if not state.record_crash(lost[0]):
+                lost = []  # killed its worker once too often: quarantined
+        else:
+            suspects.update(lost)
+        # Lost jobs go first, so isolation ends soonest.
+        pending.extendleft(
+            _PendingJob(i) for i in sorted(lost, reverse=True))
+        return rebuild("worker crash")
 
     try:
         while pending or in_flight:
-            now = time.monotonic()
+            now = _clock()
 
             # Sweep-level deadline: cancel in-flight, fail pending.
-            if state.check_deadline():
+            if state.deadline_at is not None and now >= state.deadline_at:
                 assert pool is not None
                 _terminate_pool(pool)
                 pool = None
                 for i, started in in_flight.values():
-                    state.elapsed[i] = time.monotonic() - started
+                    state.elapsed[i] = now - started
                     state.finish_bad(i, "timeout", "Deadline",
                                      "sweep deadline expired while this "
                                      "job was running")
                 in_flight.clear()
-                state.fail_remaining(
-                    [p.index for p in pending], "Deadline",
-                    "sweep deadline expired before this job started")
+                for item in pending:
+                    if state.dispatches[item.index]:
+                        state.finish_bad(item.index, "timeout", "Deadline",
+                                         "sweep deadline expired mid-retry")
+                    else:
+                        state.finish_bad(item.index, "failed", "Deadline",
+                                         "sweep deadline expired before "
+                                         "this job started")
                 pending.clear()
-                return True
+                return
 
             # Dispatch every ready pending job into free worker slots --
             # one slot while a suspect is unfinished, so the next pool
             # break has exactly one job to blame.
             suspects = {i for i in suspects if state.status[i] is None}
             slots = 1 if suspects else workers
+            broke_at_submit = False
             for _ in range(len(pending)):
                 if len(in_flight) >= slots:
                     break
@@ -700,40 +693,48 @@ def _run_parallel(state: _SweepState, to_run: List[int],
                 job = state.expanded[i]
                 state.dispatches[i] += 1
                 assert pool is not None
-                future = pool.submit(
-                    _timed_execute, job.kind, dict(job.params),
-                    job.key, state.dispatches[i], state.plan,
-                )
-                in_flight[future] = (i, time.monotonic())
+                try:
+                    future = pool.submit(_timed_execute, job.kind,
+                                         dict(job.params))
+                except BrokenProcessPool:
+                    # The pool broke after the last wait(): this job was
+                    # never in flight, so it goes back first, uncharged.
+                    state.dispatches[i] -= 1
+                    pending.appendleft(item)
+                    broke_at_submit = True
+                    break
+                in_flight[future] = (i, _clock())
+            if broke_at_submit:
+                if not pool_broke([], blame=False):
+                    return
+                continue
 
             if not in_flight:
                 # Everything pending is backing off; sleep to readiness.
                 wake = min(p.ready_at for p in pending)
-                pause = max(0.0, wake - time.monotonic())
                 if state.deadline_at is not None:
-                    pause = min(pause,
-                                max(0.0, state.deadline_at -
-                                    time.monotonic()))
-                time.sleep(min(pause, 0.5) if pause else 0.001)
+                    wake = min(wake, state.deadline_at)
+                _sleep(max(0.0, wake - _clock()))
                 continue
 
-            # Wait for completions -- bounded only when a clock matters.
-            timeout: Optional[float] = None
-            bounds: List[float] = []
-            if policy.job_timeout_s is not None:
-                bounds.extend(
-                    started + policy.job_timeout_s - now
-                    for _, started in in_flight.values()
-                )
-            if state.deadline_at is not None:
-                bounds.append(state.deadline_at - now)
-            if pending:
+            # Collect completions.  Wait -- bounded only when a clock
+            # matters -- if none is in yet; an inline future always is,
+            # so a serial sweep never scans the queue for bounds.
+            done = {future for future in in_flight if future.done()}
+            if not done:
+                bounds: List[float] = []
+                if policy.job_timeout_s is not None:
+                    bounds.extend(
+                        started + policy.job_timeout_s - now
+                        for _, started in in_flight.values()
+                    )
+                if state.deadline_at is not None:
+                    bounds.append(state.deadline_at - now)
                 bounds.extend(p.ready_at - now for p in pending
                               if p.ready_at > now)
-            if bounds:
-                timeout = max(0.0, min(bounds)) + 0.01
-            done, _ = wait(set(in_flight), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
+                timeout = max(0.0, min(bounds)) + 0.01 if bounds else None
+                done, _ = wait(set(in_flight), timeout=timeout,
+                               return_when=FIRST_COMPLETED)
 
             lost: List[int] = []
             for future in done:
@@ -741,45 +742,22 @@ def _run_parallel(state: _SweepState, to_run: List[int],
                 exc = future.exception()
                 if isinstance(exc, BrokenProcessPool):
                     lost.append(i)
-                elif exc is not None:
-                    delay = state.record_failure(i, exc, str(exc))
-                    if delay is not None:
-                        requeue(i, delay)
-                else:
+                    continue
+                if exc is None:
                     result, dt = future.result()
                     if isinstance(result, dict):
                         state.finish_ok(i, result, dt)
-                    else:
-                        delay = state.record_failure(
-                            i, None,
-                            f"worker returned "
-                            f"{type(result).__name__}, not a result dict",
-                        )
-                        if delay is not None:
-                            requeue(i, delay)
-
+                        continue
+                    message = (f"executor returned {type(result).__name__}"
+                               ", not a result dict")
+                else:
+                    message = str(exc)
+                delay = state.record_failure(i, exc, message)
+                if delay is not None:
+                    requeue(i, delay)
             if lost:
-                state.report.worker_crashes += 1
-                state.counters.incr("worker_crashes")
-                lost.extend(i for i, _ in in_flight.values())
-                in_flight.clear()
-                if len(lost) > 1:
-                    # Unattributable: charge nobody, isolate them all.
-                    suspects.update(lost)
-                elif not state.record_crash(lost[0]):
-                    # Alone in flight, so it killed its worker -- once
-                    # too often: quarantined, not re-dispatched.
-                    lost = []
-                # Lost jobs go first, so isolation ends soonest.
-                pending.extendleft(
-                    _PendingJob(i) for i in sorted(lost, reverse=True))
-                if not rebuild("worker crash"):
-                    abort_remaining(
-                        "BrokenPool",
-                        "worker pool broke more than "
-                        f"{policy.max_pool_rebuilds} times",
-                    )
-                    return True
+                if not pool_broke(lost, blame=True):
+                    return
                 continue
 
             # Per-job wall-clock timeouts: cancelling a running task
@@ -787,7 +765,7 @@ def _run_parallel(state: _SweepState, to_run: List[int],
             # so time out, re-dispatch the innocent in-flight jobs, and
             # rebuild.
             if policy.job_timeout_s is not None and in_flight:
-                now = time.monotonic()
+                now = _clock()
                 expired = [
                     (future, i, started)
                     for future, (i, started) in in_flight.items()
@@ -808,12 +786,7 @@ def _run_parallel(state: _SweepState, to_run: List[int],
                         requeue(i)
                     in_flight.clear()
                     if not rebuild("job timeout"):
-                        abort_remaining(
-                            "BrokenPool",
-                            "worker pool broke more than "
-                            f"{policy.max_pool_rebuilds} times",
-                        )
-                        return True
+                        return
     except BaseException:
         # Abort path (on_error="raise", Ctrl-C, ...): a plain shutdown
         # would join hung workers forever, so kill the pool outright.
@@ -824,4 +797,3 @@ def _run_parallel(state: _SweepState, to_run: List[int],
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-    return True

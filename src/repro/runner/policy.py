@@ -52,9 +52,10 @@ class FaultPolicy:
     it (the deadline is still checked between jobs)."""
 
     deadline_s: Optional[float] = None
-    """Sweep-level wall-clock budget.  Once exceeded, in-flight jobs are
-    cancelled (``timeout``) and pending jobs are recorded as ``failed``
-    with a ``deadline`` error instead of being started."""
+    """Sweep-level wall-clock budget.  Once exceeded, in-flight jobs and
+    jobs waiting to retry end ``timeout``; jobs never dispatched are
+    recorded as ``failed`` with a ``Deadline`` error instead of being
+    started."""
 
     max_attempts: int = 1
     """Execution attempts per job before it is quarantined.  An attempt is
@@ -71,9 +72,10 @@ class FaultPolicy:
     such re-dispatches while innocent bystanders simply re-run."""
 
     max_pool_rebuilds: int = 8
-    """Total pool rebuilds (crashes + timeouts) per sweep before the
-    engine stops trusting process pools and falls back to serial
-    execution for the remaining jobs."""
+    """Total pool rebuilds (crashes + timeouts) per sweep.  Past it the
+    engine stops rebuilding and fails every remaining job with a
+    ``BrokenPool`` error; it never runs them in-process, where a
+    worker-killing job would kill the supervisor."""
 
     backoff_base_s: float = 0.05
     """First-retry backoff; attempt ``n`` waits ``base * 2**(n-1)``

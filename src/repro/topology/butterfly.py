@@ -92,9 +92,9 @@ class MultiButterflyTopology:
                 block = i // switches_per_block
                 per_direction = []
                 for bit in (0, 1):
-                    candidates = list(
-                        self._sub_block_switches(stage, block, bit)
-                    )
+                    # A range, not a list: random.sample/choice draw the
+                    # same values from either, without an O(N) copy.
+                    candidates = self._sub_block_switches(stage, block, bit)
                     if not self.randomize:
                         # Structured wiring: round-robin by switch index.
                         targets = [

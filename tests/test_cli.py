@@ -198,13 +198,15 @@ class TestFaultFlags:
 
         real = engine._timed_execute
 
-        def flaky(kind, params, key="", dispatch=1, plan=None):
+        def flaky(kind, params):
             if params.get("network") == "ideal":
                 raise ValueError("injected CLI failure")
-            return real(kind, params, key, dispatch, plan)
+            return real(kind, params)
 
+        # The patch lives in this process, so the sweep must run here too
+        # (even under REPRO_JOBS=2).
         monkeypatch.setattr(engine, "_timed_execute", flaky)
-        assert main(self.TINY) == 1
+        assert main(self.TINY + ["--jobs", "1"]) == 1
         captured = capsys.readouterr()
         assert "# FAILED" in captured.err
         assert "injected CLI failure" in captured.err
@@ -213,9 +215,9 @@ class TestFaultFlags:
     def test_total_failure_exits_2(self, monkeypatch, capsys):
         import repro.runner.engine as engine
 
-        def doomed(kind, params, key="", dispatch=1, plan=None):
+        def doomed(kind, params):
             raise ValueError("nothing works")
 
         monkeypatch.setattr(engine, "_timed_execute", doomed)
-        assert main(self.TINY) == 2
+        assert main(self.TINY + ["--jobs", "1"]) == 2
         assert "# FAILED" in capsys.readouterr().err

@@ -1,13 +1,17 @@
 """Fault-tolerant sweep execution: timeouts, retries, crash recovery,
 checkpoint/resume.
 
-Every test drives the real engine with an injected
-:class:`~repro.runner.WorkerFaultPlan` (scripted worker crashes, hangs,
-failures, corrupt results) and asserts the headline guarantee of
-DESIGN.md section 12: a faulty run that recovers produces ``to_json``
-output *byte-identical* to an undisturbed serial run.
+Every test drives the real engine with scripted faults: ``_make_pool``
+is replaced by a factory whose executors wrap each submitted job in
+:func:`_scripted`, which fails, returns a corrupt result, hangs (a real
+sleep) or crashes its worker (a real ``os._exit`` in a real process) as
+a per-key, per-dispatch script says.  The headline guarantee of
+DESIGN.md section 12 is asserted throughout: a faulty run that recovers
+produces ``to_json`` output *byte-identical* to an undisturbed serial
+run.
 """
 
+import collections
 import json
 import os
 import signal
@@ -15,19 +19,16 @@ import subprocess
 import sys
 import textwrap
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.analysis.experiments import figure6_spec
 from repro.errors import ConfigurationError, SweepExecutionError
 from repro.obs import artifacts as obs_artifacts
-from repro.runner import (
-    FaultPolicy,
-    InjectedWorkerFault,
-    SweepJournal,
-    WorkerFaultPlan,
-    run_sweep,
-)
+from repro.runner import FaultPolicy, SweepJournal, canonical_json, run_sweep
+from repro.runner import engine
 
 SPEC_KWARGS = dict(
     n_nodes=16,
@@ -48,6 +49,99 @@ def small_spec(**overrides):
 
 def job_keys(spec):
     return [job.key for job in spec.expand()]
+
+
+class InjectedWorkerFault(Exception):
+    """What a scripted ``fail`` raises; module-level, so it pickles back
+    from a worker process."""
+
+
+CORRUPT_RESULT = ("__corrupt__",)
+
+
+def _scripted(action, hang_s, fn, *args):
+    """Worker side of one scripted dispatch: misbehave, then run the job."""
+    if action == "fail":
+        raise InjectedWorkerFault("injected failure")
+    if action == "crash":
+        # os._exit skips atexit/finally machinery: the pool sees the
+        # worker vanish exactly as it would on a segfault or OOM kill.
+        os._exit(139)
+    if action == "corrupt":
+        return CORRUPT_RESULT, 0.0
+    if action == "hang":
+        time.sleep(hang_s)
+    return fn(*args)
+
+
+class Script:
+    """Actions by job key and dispatch number (1-based), counted in the
+    supervisor so the count survives pool rebuilds.  Dispatches past the
+    end of a key's sequence, and keys not named, run normally."""
+
+    def __init__(self, spec, actions, hang_s):
+        self.keys = {canonical_json(job.params): job.key
+                     for job in spec.expand()}
+        self.actions = actions
+        self.hang_s = hang_s
+        self.dispatches = collections.Counter()
+
+    def submit(self, submit, fn, kind, params):
+        key = self.keys[canonical_json(params)]
+        self.dispatches[key] += 1
+        plan = self.actions.get(key, ())
+        n = self.dispatches[key]
+        action = plan[n - 1] if n <= len(plan) else "ok"
+        return submit(_scripted, action, self.hang_s, fn, kind, params)
+
+
+class ScriptedPool(ProcessPoolExecutor):
+    def __init__(self, script, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.script = script
+
+    def submit(self, fn, *args):
+        return self.script.submit(super().submit, fn, *args)
+
+
+class ScriptedInline(engine._InlineExecutor):
+    def __init__(self, script):
+        self.script = script
+
+    def submit(self, fn, *args):
+        return self.script.submit(super().submit, fn, *args)
+
+
+def script_faults(monkeypatch, spec, actions, hang_s=600.0,
+                  pool_unavailable=False):
+    """Script ``actions`` into every executor the engine builds from now
+    on; ``pool_unavailable`` forces the announced serial fallback."""
+    script = Script(spec, actions, hang_s)
+
+    def make_pool(workers, n_jobs):
+        if workers < 2 or n_jobs < 2:
+            return ScriptedInline(script)
+        if pool_unavailable:
+            return None
+        return ScriptedPool(script, min(workers, n_jobs))
+
+    monkeypatch.setattr(engine, "_make_pool", make_pool)
+    monkeypatch.setattr(engine, "_InlineExecutor",
+                        lambda: ScriptedInline(script))
+
+
+class FakeClock:
+    """Stands in for the engine's clock seams: time moves only when the
+    supervisor sleeps."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
 
 
 @pytest.fixture(scope="module")
@@ -101,30 +195,28 @@ class TestFaultPolicy:
 class TestRetryAndQuarantine:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_transient_failures_retry_to_identical_results(
-        self, jobs, clean_json
+        self, jobs, clean_json, monkeypatch
     ):
         spec = small_spec()
         victim = job_keys(spec)[0]
-        plan = WorkerFaultPlan(actions={victim: ("fail", "fail")})
+        script_faults(monkeypatch, spec, {victim: ("fail", "fail")})
         sweep = run_sweep(
             spec, jobs=jobs,
             policy=FaultPolicy(max_attempts=3, backoff_base_s=0.0),
-            fault_plan=plan,
         )
         assert sweep.ok
         assert sweep.report.retries == 2
         assert sweep.to_json() == clean_json
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_poison_job_quarantined_others_kept(self, jobs):
+    def test_poison_job_quarantined_others_kept(self, jobs, monkeypatch):
         spec = small_spec()
         keys = job_keys(spec)
-        plan = WorkerFaultPlan(actions={keys[0]: ("fail",) * 5})
+        script_faults(monkeypatch, spec, {keys[0]: ("fail",) * 5})
         sweep = run_sweep(
             spec, jobs=jobs,
             policy=FaultPolicy(max_attempts=3, backoff_base_s=0.0,
                                on_error="record"),
-            fault_plan=plan,
         )
         assert not sweep.ok
         statuses = {o.job.key: o.status for o in sweep.outcomes}
@@ -136,70 +228,94 @@ class TestRetryAndQuarantine:
         assert "injected failure" in bad.error["message"]
         assert sweep.report.quarantined == 1
 
-    def test_single_attempt_failure_is_failed_not_quarantined(self):
+    def test_single_attempt_failure_is_failed_not_quarantined(
+        self, monkeypatch
+    ):
         spec = small_spec()
         victim = job_keys(spec)[0]
-        plan = WorkerFaultPlan(actions={victim: ("fail",)})
-        sweep = run_sweep(spec, jobs=1, policy=RECORD, fault_plan=plan)
+        script_faults(monkeypatch, spec, {victim: ("fail",)})
+        sweep = run_sweep(spec, jobs=1, policy=RECORD)
         (bad,) = sweep.failures()
         assert bad.status == "failed"
         assert sweep.report.failed == 1
 
-    def test_raise_mode_propagates_the_job_exception(self):
+    def test_raise_mode_propagates_the_job_exception(self, monkeypatch):
         spec = small_spec()
         victim = job_keys(spec)[0]
-        plan = WorkerFaultPlan(actions={victim: ("fail",)})
+        script_faults(monkeypatch, spec, {victim: ("fail",)})
         with pytest.raises(InjectedWorkerFault):
-            run_sweep(spec, jobs=1, fault_plan=plan)
+            run_sweep(spec, jobs=1)
 
-    def test_corrupt_result_consumes_an_attempt(self, clean_json):
+    def test_corrupt_result_consumes_an_attempt(self, clean_json,
+                                                monkeypatch):
         spec = small_spec()
         victim = job_keys(spec)[1]
-        plan = WorkerFaultPlan(actions={victim: ("corrupt",)})
+        script_faults(monkeypatch, spec, {victim: ("corrupt",)})
         sweep = run_sweep(
             spec, jobs=1,
             policy=FaultPolicy(max_attempts=2, backoff_base_s=0.0,
                                on_error="record"),
-            fault_plan=plan,
         )
         assert sweep.ok  # the retry ran the job normally
         assert sweep.report.retries == 1
         assert sweep.to_json() == clean_json
 
-    def test_corrupt_result_without_retry_budget_fails(self):
+    def test_corrupt_result_without_retry_budget_fails(self, monkeypatch):
         spec = small_spec()
         victim = job_keys(spec)[1]
-        plan = WorkerFaultPlan(actions={victim: ("corrupt",)})
-        sweep = run_sweep(spec, jobs=1, policy=RECORD, fault_plan=plan)
+        script_faults(monkeypatch, spec, {victim: ("corrupt",)})
+        sweep = run_sweep(spec, jobs=1, policy=RECORD)
         (bad,) = sweep.failures()
         assert bad.status == "failed"
         assert "not a result dict" in bad.error["message"]
 
-    def test_unknown_fault_action_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WorkerFaultPlan(actions={"k": ("explode",)})
+
+    def test_record_mode_bytes_match_across_executors(self, monkeypatch):
+        # One retried and one quarantined job: the same document from
+        # the inline executor, a process pool, and the serial fallback.
+        spec = small_spec()
+        keys = job_keys(spec)
+        actions = {keys[0]: ("fail",), keys[1]: ("fail", "fail")}
+        policy = FaultPolicy(max_attempts=2, backoff_base_s=0.0,
+                             on_error="record")
+        docs = []
+        for jobs, unavailable in ((1, False), (2, False), (2, True)):
+            script_faults(monkeypatch, spec, actions,
+                          pool_unavailable=unavailable)
+            if unavailable:
+                with pytest.warns(RuntimeWarning, match="falling back"):
+                    sweep = run_sweep(spec, jobs=jobs, policy=policy)
+            else:
+                sweep = run_sweep(spec, jobs=jobs, policy=policy)
+            assert sweep.report.fallback == ("serial" if unavailable
+                                             else None)
+            assert sweep.report.retries == 2
+            assert [o.status for o in sweep.outcomes] == [
+                "ok", "quarantined", "ok", "ok"]
+            docs.append(sweep.to_json())
+        assert docs[0] == docs[1] == docs[2]
 
 
 class TestCrashRecovery:
-    def test_worker_crash_rebuilds_pool_and_recovers(self, clean_json):
+    def test_worker_crash_rebuilds_pool_and_recovers(self, clean_json,
+                                                       monkeypatch):
         spec = small_spec()
         victim = job_keys(spec)[2]
-        plan = WorkerFaultPlan(actions={victim: ("crash",)})
-        sweep = run_sweep(spec, jobs=2, policy=RECORD, fault_plan=plan)
+        script_faults(monkeypatch, spec, {victim: ("crash",)})
+        sweep = run_sweep(spec, jobs=2, policy=RECORD)
         assert sweep.ok
         assert sweep.report.worker_crashes >= 1
         assert sweep.report.pool_rebuilds >= 1
         assert sweep.to_json() == clean_json
 
-    def test_repeatedly_crashing_job_is_quarantined(self):
+    def test_repeatedly_crashing_job_is_quarantined(self, monkeypatch):
         spec = small_spec()
         keys = job_keys(spec)
-        plan = WorkerFaultPlan(actions={keys[0]: ("crash",) * 8})
+        script_faults(monkeypatch, spec, {keys[0]: ("crash",) * 8})
         sweep = run_sweep(
             spec, jobs=2,
             policy=FaultPolicy(on_error="record", crash_retries=2,
                                backoff_base_s=0.0),
-            fault_plan=plan,
         )
         statuses = {o.job.key: o.status for o in sweep.outcomes}
         assert statuses[keys[0]] == "quarantined"
@@ -207,37 +323,65 @@ class TestCrashRecovery:
         assert all(statuses[key] == "ok" for key in keys[1:])
         assert sweep.report.pool_rebuilds >= 3
 
-    def test_bystander_in_flight_at_every_crash_is_not_quarantined(self):
+    def test_bystander_in_flight_at_every_crash_is_not_quarantined(
+        self, monkeypatch
+    ):
         # keys[1] sleeps through each of its first dispatches, so it is
         # still in flight whenever keys[0] kills the pool next to it.
         spec = small_spec()
         keys = job_keys(spec)
-        plan = WorkerFaultPlan(
-            actions={keys[0]: ("crash",) * 8, keys[1]: ("hang",) * 3},
+        script_faults(
+            monkeypatch, spec,
+            {keys[0]: ("crash",) * 8, keys[1]: ("hang",) * 3},
             hang_s=0.4,
         )
         sweep = run_sweep(
             spec, jobs=2,
             policy=FaultPolicy(on_error="record", crash_retries=2,
                                backoff_base_s=0.0),
-            fault_plan=plan,
         )
         statuses = {o.job.key: o.status for o in sweep.outcomes}
         assert statuses[keys[0]] == "quarantined"
         assert all(statuses[key] == "ok" for key in keys[1:])
 
 
+    def test_pool_breaking_at_submit_is_recovered(self, clean_json,
+                                                  monkeypatch):
+        # A worker can die after wait() returned another job's result;
+        # the next submit() then raises BrokenProcessPool itself.
+        submits = []
+
+        class RacyPool(ProcessPoolExecutor):
+            def submit(self, fn, *args):
+                submits.append(args)
+                if len(submits) == 3:
+                    raise BrokenProcessPool("worker died before submit")
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(
+            engine, "_make_pool",
+            lambda workers, n_jobs: RacyPool(min(workers, n_jobs)))
+        spec = small_spec()
+        sweep = run_sweep(spec, jobs=2, policy=RECORD)
+        assert sweep.ok
+        assert sweep.report.worker_crashes == 1
+        assert sweep.report.pool_rebuilds == 1
+        assert sweep.to_json() == clean_json
+        # The job whose submit raised never ran: it was not charged.
+        attempts = {o.job.key: o.attempts for o in sweep.outcomes}
+        assert attempts[job_keys(spec)[2]] == 1
+
+
 class TestTimeouts:
-    def test_hung_job_cancelled_within_budget_others_kept(self):
+    def test_hung_job_cancelled_within_budget_others_kept(self, monkeypatch):
         spec = small_spec()
         keys = job_keys(spec)
-        plan = WorkerFaultPlan(actions={keys[1]: ("hang",)}, hang_s=60.0)
+        script_faults(monkeypatch, spec, {keys[1]: ("hang",)}, hang_s=60.0)
         start = time.monotonic()
         sweep = run_sweep(
             spec, jobs=2,
             policy=FaultPolicy(job_timeout_s=0.5, on_error="record",
                                backoff_base_s=0.0),
-            fault_plan=plan,
         )
         wall = time.monotonic() - start
         assert wall < 30.0  # cancelled, not joined for hang_s
@@ -249,17 +393,15 @@ class TestTimeouts:
         assert bad.elapsed_s >= 0.5
         assert sweep.report.timeouts == 1
 
-    def test_sweep_deadline_fails_pending_jobs(self):
+    def test_sweep_deadline_fails_pending_jobs(self, monkeypatch):
         spec = small_spec()
         keys = job_keys(spec)
-        plan = WorkerFaultPlan(
-            actions={key: ("hang",) for key in keys}, hang_s=60.0
-        )
+        script_faults(monkeypatch, spec, {key: ("hang",) for key in keys},
+                      hang_s=60.0)
         sweep = run_sweep(
             spec, jobs=2,
             policy=FaultPolicy(deadline_s=0.5, on_error="record",
                                backoff_base_s=0.0),
-            fault_plan=plan,
         )
         assert not sweep.ok
         statuses = {o.status for o in sweep.outcomes}
@@ -270,17 +412,41 @@ class TestTimeouts:
         assert errors == {"Deadline"}
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deadline_during_backoff_times_out_the_retrying_job(
+        self, jobs, monkeypatch
+    ):
+        # Time moves only when the supervisor sleeps, so the deadline
+        # expires while keys[0], already dispatched once, backs off.
+        spec = small_spec()
+        keys = job_keys(spec)
+        script_faults(monkeypatch, spec, {keys[0]: ("fail",)})
+        clock = FakeClock()
+        monkeypatch.setattr(engine, "_clock", clock)
+        monkeypatch.setattr(engine, "_sleep", clock.sleep)
+        sweep = run_sweep(
+            spec, jobs=jobs,
+            policy=FaultPolicy(max_attempts=2, backoff_base_s=1.0,
+                               deadline_s=0.5, on_error="record"),
+        )
+        (bad,) = sweep.failures()
+        assert bad.job.key == keys[0]
+        assert bad.status == "timeout"
+        assert bad.error["message"] == "sweep deadline expired mid-retry"
+        assert clock.now == 0.5
+
+
 class TestCheckpointResume:
     def test_resume_skips_journaled_jobs_byte_identically(
-        self, tmp_path, clean_json
+        self, tmp_path, clean_json, monkeypatch
     ):
         spec = small_spec()
         journal_path = tmp_path / "sweep.journal.jsonl"
         keys = job_keys(spec)
         # First run is interrupted after job 0 by a poison job: only the
         # completed cells land in the journal.
-        plan = WorkerFaultPlan(actions={keys[1]: ("fail",)})
-        partial = run_sweep(spec, jobs=1, policy=RECORD, fault_plan=plan,
+        script_faults(monkeypatch, spec, {keys[1]: ("fail",)})
+        partial = run_sweep(spec, jobs=1, policy=RECORD,
                             resume=journal_path)
         obs_artifacts.register(
             "sweep-journal", SweepJournal(journal_path, spec)
@@ -373,11 +539,11 @@ class TestCheckpointResume:
 
 
 class TestPartialResultsSurface:
-    def test_to_json_carries_failure_payloads(self):
+    def test_to_json_carries_failure_payloads(self, monkeypatch):
         spec = small_spec()
         keys = job_keys(spec)
-        plan = WorkerFaultPlan(actions={keys[0]: ("fail",)})
-        sweep = run_sweep(spec, jobs=1, policy=RECORD, fault_plan=plan)
+        script_faults(monkeypatch, spec, {keys[0]: ("fail",)})
+        sweep = run_sweep(spec, jobs=1, policy=RECORD)
         doc = json.loads(sweep.to_json())
         by_key = {entry["key"]: entry for entry in doc["jobs"]}
         bad = by_key[keys[0]]
@@ -387,7 +553,7 @@ class TestPartialResultsSurface:
         for key in keys[1:]:
             assert set(by_key[key]) == {"key", "result"}
 
-    def test_reshapers_skip_failed_cells(self):
+    def test_reshapers_skip_failed_cells(self, monkeypatch):
         from repro.analysis.experiments import (
             figure7_ratios,
             reshape_figure6,
@@ -395,8 +561,8 @@ class TestPartialResultsSurface:
 
         spec = small_spec()
         keys = job_keys(spec)
-        plan = WorkerFaultPlan(actions={keys[0]: ("fail",)})
-        sweep = run_sweep(spec, jobs=1, policy=RECORD, fault_plan=plan)
+        script_faults(monkeypatch, spec, {keys[0]: ("fail",)})
+        sweep = run_sweep(spec, jobs=1, policy=RECORD)
         grids = reshape_figure6(sweep)
         flat = {
             (pattern, network, load)
@@ -417,31 +583,28 @@ class TestPartialResultsSurface:
                                     networks=("baldur", "ideal"))
         assert ratios == {"w": {"baldur": 1.0}}
 
-    def test_describe_mentions_fault_counts(self):
+    def test_describe_mentions_fault_counts(self, monkeypatch):
         spec = small_spec()
         keys = job_keys(spec)
-        plan = WorkerFaultPlan(actions={keys[0]: ("fail", "fail")})
+        script_faults(monkeypatch, spec, {keys[0]: ("fail", "fail")})
         sweep = run_sweep(
             spec, jobs=1,
             policy=FaultPolicy(max_attempts=2, backoff_base_s=0.0,
                                on_error="record"),
-            fault_plan=plan,
         )
         text = sweep.report.describe()
         assert "1 quarantined" in text
         assert "1 retries" in text
 
-    def test_raise_mode_deadline_aborts_with_sweep_error(self):
+    def test_raise_mode_deadline_aborts_with_sweep_error(self, monkeypatch):
         spec = small_spec()
-        plan = WorkerFaultPlan(
-            actions={key: ("hang",) for key in job_keys(spec)},
-            hang_s=60.0,
-        )
+        script_faults(monkeypatch, spec,
+                      {key: ("hang",) for key in job_keys(spec)},
+                      hang_s=60.0)
         with pytest.raises(SweepExecutionError):
             run_sweep(
                 spec, jobs=2,
                 policy=FaultPolicy(deadline_s=0.5, backoff_base_s=0.0),
-                fault_plan=plan,
             )
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
+from repro.sim.rand import stream
 from repro.topology import (
     DragonflyTopology,
     FatTreeTopology,
@@ -13,7 +14,44 @@ from repro.topology import (
 )
 
 
+def list_form_wiring(topo):
+    """Inter-stage wiring drawn from ``list`` copies of each sub-block:
+    the O(N^2) construction the range-based build must reproduce."""
+    rng = stream(topo.seed, "multibutterfly-wiring")
+    m = topo.multiplicity
+    wiring = []
+    for stage in range(topo.n_stages - 1):
+        switches_per_block = (topo.n_nodes >> stage) // 2
+        stage_wiring = []
+        for i in range(topo.switches_per_stage):
+            per_direction = []
+            for bit in (0, 1):
+                candidates = list(topo._sub_block_switches(
+                    stage, i // switches_per_block, bit))
+                if not topo.randomize:
+                    targets = [candidates[(i + k) % len(candidates)]
+                               for k in range(m)]
+                elif len(candidates) >= m:
+                    targets = rng.sample(candidates, m)
+                else:
+                    targets = [rng.choice(candidates) for _ in range(m)]
+                per_direction.append(targets)
+            stage_wiring.append(tuple(per_direction))
+        wiring.append(stage_wiring)
+    return wiring
+
+
 class TestMultiButterfly:
+    @pytest.mark.parametrize("n_nodes,seeds", [
+        (64, (0, 3, 11)), (1024, (0, 3, 11)), (4096, (0, 3)),
+    ])
+    @pytest.mark.parametrize("randomize", [True, False])
+    def test_wiring_equals_list_form(self, n_nodes, seeds, randomize):
+        for seed in seeds if randomize else seeds[:1]:
+            topo = MultiButterflyTopology(n_nodes, multiplicity=4,
+                                          seed=seed, randomize=randomize)
+            assert topo.wiring[:-1] == list_form_wiring(topo)
+
     def test_stage_count(self):
         topo = MultiButterflyTopology(1024, multiplicity=4)
         assert topo.n_stages == 10
