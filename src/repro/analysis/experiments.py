@@ -50,10 +50,6 @@ __all__ = [
     "table5",
     "table5_spec",
     "reshape_table5",
-    "ZOO_NETWORKS",
-    "zoo_spec",
-    "zoo_compare",
-    "reshape_zoo",
     "figure9_spec",
 ]
 
@@ -66,7 +62,7 @@ they managed to deliver by this time, as in any fixed-horizon replay."""
 
 
 def build_network(name: str, n_nodes: int, seed: int = 0):
-    """Construct a Sec. V network (or any zoo architecture) by name.
+    """Construct a Sec. V network by name.
 
     One hop to the :mod:`repro.zoo` table, whose builders construct the
     Table VI configurations -- pinned byte-identical by the goldens and
@@ -405,85 +401,6 @@ def table5(
         progress=progress,
     )
     return reshape_table5(sweep)
-
-
-ZOO_NETWORKS = ("baldur", "rotor")
-"""The architecture-zoo comparison: the paper's network against the
-RotorNet-style rotor fabric."""
-
-
-def zoo_spec(
-    n_nodes: int = 64,
-    loads: Iterable[float] = (0.1, 0.4, 0.7),
-    pattern: str = "random_permutation",
-    packets_per_node: int = 20,
-    networks: Iterable[str] = ZOO_NETWORKS,
-    seed: int = 0,
-    until: float = DEFAULT_UNTIL_NS,
-    shards: Optional[int] = None,
-    shard_latency_ns: float = 0.0,
-):
-    """Baldur vs. the rotor architecture as a declarative sweep spec.
-
-    Reuses the ``open_loop`` job kind unchanged: cells resolve their
-    network through :func:`build_network`, so any name in the
-    :mod:`repro.zoo` table is a valid axis value.  ``shards`` is only
-    added to the spec when set (see :func:`figure6_spec`), keeping
-    default job keys stable.
-    """
-    from repro.runner import SweepSpec
-
-    fixed = {
-        "n_nodes": n_nodes,
-        "pattern": pattern,
-        "packets_per_node": packets_per_node,
-        "until": until,
-    }
-    if shards is not None:
-        fixed["shards"] = shards
-        fixed["shard_latency_ns"] = shard_latency_ns
-    return SweepSpec(
-        kind="open_loop",
-        axes={
-            "network": tuple(networks),
-            "load": tuple(loads),
-        },
-        fixed=fixed,
-        root_seed=seed,
-    )
-
-
-def reshape_zoo(sweep) -> Dict[str, Dict[float, StatsSummary]]:
-    """``result[network][load] -> StatsSummary``."""
-    return sweep.index("network", "load", value=StatsSummary.from_dict)
-
-
-def zoo_compare(
-    n_nodes: int = 64,
-    loads: Iterable[float] = (0.1, 0.4, 0.7),
-    pattern: str = "random_permutation",
-    packets_per_node: int = 20,
-    networks: Iterable[str] = ZOO_NETWORKS,
-    seed: int = 0,
-    until: float = DEFAULT_UNTIL_NS,
-    jobs: Optional[int] = None,
-    cache_dir=None,
-    use_cache: bool = True,
-    progress=None,
-) -> Dict[str, Dict[float, StatsSummary]]:
-    """Run the zoo comparison sweep.
-
-    Returns ``result[network][load] -> StatsSummary``.
-    """
-    from repro.runner import run_sweep
-
-    sweep = run_sweep(
-        zoo_spec(n_nodes, loads, pattern, packets_per_node,
-                 networks, seed, until),
-        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-        progress=progress,
-    )
-    return reshape_zoo(sweep)
 
 
 def figure9_spec(scale: int = 2**20, cases: Optional[Iterable[str]] = None):

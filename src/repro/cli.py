@@ -16,7 +16,7 @@ Usage::
     python -m repro.cli resilience --nodes 64 --packets 20
     python -m repro.cli trace --network baldur --nodes 64 --load 0.9
     python -m repro.cli zoo --list
-    python -m repro.cli zoo --nodes 64 --networks baldur rotor
+    python -m repro.cli zoo --nodes 64 --networks baldur ideal
 
 Sweep-backed commands (``table5``, ``fig6``, ``fig7``, ``fig9``,
 ``resilience``, ``zoo``) additionally accept:
@@ -37,12 +37,13 @@ Sweep-backed commands (``table5``, ``fig6``, ``fig7``, ``fig9``,
   ``repro-<command>.journal.jsonl``) and skip jobs already recorded
   there, so an interrupted campaign continues byte-identically.
 
-The open-loop sweeps (``table5``, ``fig6``, ``zoo``) also accept:
+``table5`` and ``zoo`` also accept:
 
 * ``--shards N``     -- run each cell on the sharded multi-core engine
   with N worker kernels (see DESIGN.md section 14).  ``--shard-latency
   NS`` adds an inter-shard fiber delay on cut links to widen the
-  lookahead window.
+  lookahead window.  Only Baldur cells can shard; every other network
+  refuses, so ``zoo --shards`` wants ``--networks baldur``.
 
 Sweep commands run in record mode: a failing cell is reported on stderr
 instead of aborting the grid, and the exit code is the partial-failure
@@ -181,8 +182,6 @@ def _cmd_fig6(args) -> None:
             loads=tuple(args.loads),
             packets_per_node=args.packets,
             seed=args.seed,
-            shards=args.shards,
-            shard_latency_ns=args.shard_latency,
         ),
         **_sweep_kwargs(args),
     )
@@ -408,23 +407,24 @@ def _cmd_zoo(args) -> int:
             print(f"{name}: {' '.join((builder.__doc__ or '').split())}")
         return 0
 
-    from repro.analysis.experiments import reshape_zoo, zoo_spec
+    from repro.analysis.experiments import figure6_spec, reshape_figure6
     from repro.runner import run_sweep
+    from repro.zoo import ARCHITECTURES
 
     sweep = run_sweep(
-        zoo_spec(
+        figure6_spec(
             n_nodes=args.nodes,
             loads=tuple(args.loads),
-            pattern=args.pattern,
+            patterns=(args.pattern,),
             packets_per_node=args.packets,
-            networks=tuple(args.networks),
+            networks=tuple(args.networks or ARCHITECTURES),
             seed=args.seed,
             shards=args.shards,
             shard_latency_ns=args.shard_latency,
         ),
         **_sweep_kwargs(args),
     )
-    grid = reshape_zoo(sweep)
+    grid = reshape_figure6(sweep).get(args.pattern, {})
     print(format_latency_grid(
         grid, metric="average_latency",
         title=f"Architecture zoo -- average latency (ns), "
@@ -546,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("table5", _cmd_table5, sweep=True, shardable=True,
         nodes=dict(type=int, default=128),
         packets=dict(type=int, default=20))
-    fig6 = add("fig6", _cmd_fig6, sweep=True, shardable=True,
+    fig6 = add("fig6", _cmd_fig6, sweep=True,
                nodes=dict(type=int, default=128),
                packets=dict(type=int, default=20))
     fig6.add_argument("--loads", type=float, nargs="+",
@@ -562,9 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="list the architecture table and exit")
     zoo.add_argument("--loads", type=float, nargs="+",
                      default=[0.1, 0.4, 0.7])
-    zoo.add_argument("--networks", nargs="+",
-                     default=["baldur", "rotor"],
-                     help="architecture names to compare (see --list)")
+    zoo.add_argument("--networks", nargs="+", default=None,
+                     help="architecture names to compare (default: every "
+                          "--list entry)")
     trace = add(
         "trace", _cmd_trace,
         network=dict(default="baldur",

@@ -7,10 +7,8 @@ exactly ``latency_ns`` after creation, with no queueing anywhere.
 from __future__ import annotations
 
 from repro import constants as C
-from repro.errors import ConfigurationError
 from repro.netsim.network import NetworkSimulator
 from repro.netsim.packet import Packet
-from repro.shard.runtime import MSG_DELIVER
 from repro.topology.ideal import IdealTopology
 
 __all__ = ["IdealNetwork"]
@@ -37,61 +35,8 @@ class IdealNetwork(NetworkSimulator):
         packet.inject_time = self.env.now
         if self.tracer is not None:
             self.tracer.record(self.env.now, "inject", packet)
-        ctx = self._shard_ctx
-        if ctx is not None:
-            dest = ctx.host_shard[packet.dst]
-            if dest != ctx.shard:
-                # Host-cut delivery across the boundary: the flat latency
-                # is exactly the plan lookahead.
-                ctx.send(
-                    dest,
-                    (MSG_DELIVER, self.env.now + self.latency_ns,
-                     packet.pid, packet.src, packet.dst, packet.size_bytes,
-                     packet.create_time, packet.is_ack, packet.acked_pid,
-                     packet.hops),
-                )
-                return
         self.env.schedule(self.latency_ns, self._deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:
         packet.deliver_time = self.env.now
         self._on_delivered(packet, self.env.now)
-
-    # -- sharded execution (repro.shard, DESIGN.md section 14) ----------------
-
-    def shard_plan(self, n_shards: int, shard_latency_ns: float = 0.0):
-        """Host-cut partition; every host pair is one hop of the flat
-        latency, so the lookahead is ``latency_ns`` (``shard_latency_ns``
-        does not apply -- there are no inter-stage hops to stretch)."""
-        from repro.shard.plan import host_plan
-
-        return host_plan(
-            self.n_nodes, n_shards, hop_delay_ns=self.latency_ns, kind="ideal"
-        )
-
-    def shard_recipe(self):
-        return (
-            type(self),
-            {"n_nodes": self.n_nodes, "latency_ns": self.latency_ns},
-        )
-
-    def _shard_schedule_inbox(self, messages) -> None:
-        env = self.env
-        for msg in messages:
-            if msg[0] != MSG_DELIVER:  # pragma: no cover - protocol bug
-                raise ConfigurationError(
-                    f"unknown cross-shard message kind {msg[0]}"
-                )
-            (_kind, when, pid, src, dst, size_bytes,
-             create_time, is_ack, acked_pid, hops) = msg
-            packet = Packet(
-                pid=pid,
-                src=src,
-                dst=dst,
-                size_bytes=size_bytes,
-                create_time=create_time,
-                is_ack=is_ack,
-                acked_pid=acked_pid,
-            )
-            packet.hops = hops
-            env.schedule_at(when, self._deliver, packet)

@@ -62,8 +62,6 @@ reports, never simulation state.
 SLOTS_MODULES = (
     "repro.sim.core",
     "repro.core.baldur_network",
-    "repro.zoo.rotor",
-    "repro.topology.rotor",
     "repro.shard.runtime",
     "repro.shard.plan",
 )

@@ -13,11 +13,7 @@ Entry points: ``NetworkSimulator.run(..., shards=N)`` (which delegates to
 """
 
 from repro.shard.engine import run_sharded
-from repro.shard.plan import (
-    ShardPlan,
-    host_plan,
-    multistage_plan,
-)
+from repro.shard.plan import ShardPlan, multistage_plan
 from repro.shard.runtime import ShardContext, shard_stream_seed
 
 __all__ = [
@@ -25,6 +21,5 @@ __all__ = [
     "ShardContext",
     "run_sharded",
     "shard_stream_seed",
-    "host_plan",
     "multistage_plan",
 ]

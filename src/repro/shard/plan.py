@@ -22,7 +22,7 @@ excluded), which is exactly what a conservative lookahead needs.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -32,7 +32,6 @@ __all__ = [
     "ShardPlan",
     "block_shard",
     "multistage_plan",
-    "host_plan",
 ]
 
 Node = Tuple[Any, ...]
@@ -76,7 +75,7 @@ class ShardPlan:
         lookahead_ns: float,
         edge_fn: Callable[[], Iterator[PlanEdge]],
         node_fn: Callable[[Node], int],
-        stage_shard: Optional[List[int]] = None,
+        stage_shard: List[int],
         cut_delay_ns: float = 0.0,
     ) -> None:
         if n_shards < 1:
@@ -230,38 +229,3 @@ def multistage_plan(
         stage_shard=stage_shard,
         cut_delay_ns=cut_delay_ns,
     )
-
-
-def host_plan(
-    n_nodes: int,
-    n_shards: int,
-    *,
-    hop_delay_ns: float,
-    kind: str = "ideal",
-) -> ShardPlan:
-    """Host-cut plan for fabrics with no per-fabric state to partition.
-
-    Used by :class:`~repro.electrical.ideal_net.IdealNetwork` (every
-    host pair is one abstract hop of ``hop_delay_ns``) and by
-    :class:`~repro.zoo.rotor.RotorNetwork` (rotor switch state is a pure
-    function of simulated time, so every worker replicates it and only
-    host state is partitioned; deliveries are scheduled end-to-end with a
-    delay of at least ``2 * link_delay + switch_latency``, which is the
-    ``hop_delay_ns`` a rotor caller passes here).
-    """
-    host_shard = [block_shard(h, n_nodes, n_shards) for h in range(n_nodes)]
-
-    def node_fn(node: Node) -> int:
-        if node[0] == "host":
-            return host_shard[node[1]]
-        raise ConfigurationError(f"unknown host plan node {node!r}")
-
-    def edge_fn() -> Iterator[PlanEdge]:
-        for src in range(n_nodes):
-            for dst in range(n_nodes):
-                if src != dst:
-                    yield ("host", src), ("host", dst), hop_delay_ns
-
-    crossing = n_shards > 1 and len(set(host_shard)) > 1
-    min_cut = hop_delay_ns if crossing else math.inf
-    return ShardPlan(kind, n_shards, host_shard, min_cut, edge_fn, node_fn)

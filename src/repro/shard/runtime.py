@@ -24,7 +24,7 @@ substream labels ("baldur-arbitration", "baldur-beb") are unchanged.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.sim.rand import derive_seed
 
@@ -85,7 +85,7 @@ class ShardContext:
         shard: int,
         n_shards: int,
         host_shard: List[int],
-        stage_shard: Optional[List[int]],
+        stage_shard: List[int],
         cut_delay_ns: float,
     ) -> None:
         self.shard = shard

@@ -6,7 +6,6 @@ from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.ideal import IdealTopology
 from repro.topology.omega import OmegaTopology
-from repro.topology.rotor import RotorTopology
 
 __all__ = [
     "BenesTopology",
@@ -15,5 +14,4 @@ __all__ = [
     "FatTreeTopology",
     "IdealTopology",
     "OmegaTopology",
-    "RotorTopology",
 ]

@@ -1,12 +1,10 @@
 """repro.zoo -- the architecture table.
 
 :data:`ARCHITECTURES` maps a name to a builder and :func:`build_network`
-calls it: the five Sec. V networks plus the RotorNet-style ``rotor``,
-all over the shared :class:`~repro.netsim.network.NetworkSimulator`
-substrate.
+calls it: the five Sec. V networks, all over the shared
+:class:`~repro.netsim.network.NetworkSimulator` substrate.
 """
 
 from repro.zoo.architectures import ARCHITECTURES, build_network
-from repro.zoo.rotor import RotorNetwork
 
-__all__ = ["ARCHITECTURES", "build_network", "RotorNetwork"]
+__all__ = ["ARCHITECTURES", "build_network"]

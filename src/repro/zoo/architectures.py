@@ -1,9 +1,9 @@
-"""The architecture table: name -> builder, five Sec. V networks plus rotor.
+"""The architecture table: name -> builder, the five Sec. V networks.
 
 A builder is a pure function of ``(n_nodes, seed, **params)``: identical
 arguments must yield a simulator whose run produces byte-identical
 ``StatsSummary`` JSON.  The five Sec. V builders construct the classes
-and arguments of the paper's Table VI configurations; the fig6/fig7/zoo
+and arguments of the paper's Table VI configurations; the fig6/fig7
 goldens, ``test_determinism.py`` and the table↔hand-wired identity suite
 in ``tests/test_zoo.py`` pin that.  A builder's docstring is its entry in
 ``repro-bench zoo --list``; table order is presentation order.
@@ -23,7 +23,6 @@ from repro.electrical import (
 )
 from repro.errors import ConfigurationError
 from repro.netsim.network import NetworkSimulator
-from repro.zoo.rotor import RotorNetwork
 
 __all__ = ["ARCHITECTURES", "build_network"]
 
@@ -75,22 +74,12 @@ def _build_ideal(n_nodes: int, seed: int, **params: Any) -> NetworkSimulator:
     return IdealNetwork(n_nodes, **params)
 
 
-def _build_rotor(n_nodes: int, seed: int, **params: Any) -> NetworkSimulator:
-    """RotorNet-style rotor crossbars cycling round-robin matchings in
-    slotted time (slot_ns connected + reconfig_ns dark): source VOQs
-    drain when the rotation connects src to dst; no in-network buffers,
-    no drops.  The rotation is a fixed function of time, so the seed only
-    shapes the injected workload, never the network."""
-    return RotorNetwork(n_nodes, **params)
-
-
 ARCHITECTURES: Dict[str, Callable[..., NetworkSimulator]] = {
     "baldur": _build_baldur,
     "multibutterfly": _build_multibutterfly,
     "dragonfly": _build_dragonfly,
     "fattree": _build_fattree,
     "ideal": _build_ideal,
-    "rotor": _build_rotor,
 }
 
 

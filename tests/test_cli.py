@@ -82,15 +82,38 @@ class TestCommands:
         from repro.zoo import ARCHITECTURES
 
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split(":")[0] for line in lines] == list(ARCHITECTURES)
-        assert "round-robin matchings" in lines[-1]  # rotor's docstring
+        assert [line.split(":")[0] for line in lines] == [
+            "baldur", "multibutterfly", "dragonfly", "fattree", "ideal",
+        ] == list(ARCHITECTURES)
+        assert "Contention-free lower bound" in lines[-1]  # ideal's docstring
 
     def test_zoo_sweep_tiny(self, capsys):
         assert main([
             "zoo", "--nodes", "16", "--packets", "3", "--loads", "0.5",
         ]) == 0
         out = capsys.readouterr().out
-        assert "Architecture zoo" in out and "rotor" in out
+        assert "Architecture zoo" in out
+        for name in ("baldur", "multibutterfly", "dragonfly", "fattree",
+                     "ideal"):
+            assert name in out
+
+    def test_zoo_is_the_fig6_spec(self, tmp_path, capsys):
+        # The zoo command is figure6_spec with one pattern: its --out
+        # JSON is byte-identical to that sweep's canonical results.
+        from repro.analysis.experiments import figure6_spec
+        from repro.runner import run_sweep
+
+        out = tmp_path / "zoo.json"
+        assert main([
+            "zoo", "--nodes", "16", "--packets", "3", "--loads", "0.5",
+            "--no-cache", "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        sweep = run_sweep(figure6_spec(
+            n_nodes=16, loads=(0.5,), patterns=("random_permutation",),
+            packets_per_node=3, seed=0,
+        ))
+        assert out.read_text() == sweep.to_json()
 
     def test_resilience_small(self, capsys):
         assert main([

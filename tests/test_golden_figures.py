@@ -69,25 +69,10 @@ def built_fig8():
     }
 
 
-def built_zoo():
-    from repro.analysis.experiments import zoo_spec
-    from repro.runner import run_sweep
-
-    spec = zoo_spec(
-        n_nodes=16,
-        loads=(0.3, 0.7),
-        pattern="random_permutation",
-        packets_per_node=5,
-        seed=0,
-    )
-    return json.loads(run_sweep(spec).to_json())
-
-
 GOLDEN = {
     "fig6.json": built_fig6,
     "fig7.json": built_fig7,
     "fig8.json": built_fig8,
-    "zoo.json": built_zoo,
 }
 
 
@@ -142,15 +127,11 @@ def test_fig8_matches_golden():
     assert_matches(built_fig8(), load_golden("fig8.json"))
 
 
-def test_zoo_matches_golden():
-    assert_matches(built_zoo(), load_golden("zoo.json"))
-
-
 def test_goldens_have_no_degenerate_results():
     """Guard the goldens themselves: every simulated cell delivered
     packets and measured a positive latency (a regenerated golden full of
     zeros would otherwise pass the comparison tests forever)."""
-    for name in ("fig6.json", "fig7.json", "zoo.json"):
+    for name in ("fig6.json", "fig7.json"):
         for entry in load_golden(name)["jobs"]:
             result = entry["result"]
             assert result["delivered"] > 0, entry["key"]

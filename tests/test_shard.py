@@ -36,7 +36,7 @@ def _cell(network, n_nodes=16, load=0.2, packets_per_node=3, seed=5):
     return net
 
 
-SHARDABLE = ("baldur", "ideal", "rotor")
+SHARDABLE = ("baldur",)
 ELECTRICAL = ("multibutterfly", "dragonfly", "fattree")
 
 
@@ -154,6 +154,12 @@ class TestRefusal:
                            match="flow-control credits"):
             net.run(shards=2)
 
+    def test_ideal_refuses(self):
+        net = _cell("ideal")
+        with pytest.raises(ShardingUnsupportedError,
+                           match="defines no shard partition plan"):
+            net.run(shards=2)
+
     def test_attached_tracer_refuses(self):
         from repro.obs import Tracer
 
@@ -222,19 +228,21 @@ class TestRunnerIntegration:
     def test_cli_rejects_shards_on_closed_loop_commands(self):
         from repro.cli import main
 
-        # The flag is only registered on the open-loop sweeps.
-        for command in ("fig7", "fig9", "resilience"):
+        # The flag is only registered on table5 and zoo.
+        for command in ("fig6", "fig7", "fig9", "resilience"):
             with pytest.raises(SystemExit) as exc:
                 main([command, "--shards", "2"])
             assert exc.value.code == 2
 
     def test_open_loop_spec_threads_shards(self):
-        from repro.analysis.experiments import zoo_spec
+        from repro.analysis.experiments import figure6_spec
         from repro.runner import run_sweep
 
         def sweep_with(**kw):
-            spec = zoo_spec(n_nodes=16, loads=(0.2,), packets_per_node=3,
-                            networks=("baldur",), seed=5, **kw)
+            spec = figure6_spec(n_nodes=16, loads=(0.2,),
+                                patterns=("random_permutation",),
+                                packets_per_node=3, networks=("baldur",),
+                                seed=5, **kw)
             sweep = run_sweep(spec, jobs=1, use_cache=False)
             assert sweep.ok
             return sweep.outcomes[0].result
@@ -247,12 +255,9 @@ class TestRunnerIntegration:
         assert sharded["avg_latency_ns"] == plain["avg_latency_ns"]
 
     def test_default_specs_unchanged_without_shards(self):
-        from repro.analysis.experiments import (
-            figure6_spec,
-            table5_spec,
-            zoo_spec,
-        )
+        from repro.analysis.experiments import figure6_spec, table5_spec
 
-        for spec in (figure6_spec(), table5_spec(), zoo_spec()):
+        for spec in (figure6_spec(), table5_spec(),
+                     figure6_spec(networks=("baldur",))):
             assert "shards" not in spec.fixed
             assert "shard_latency_ns" not in spec.fixed

@@ -1,5 +1,4 @@
-"""Architecture-zoo tests: table↔hand-wired identity, rotor behaviour,
-and name resolution.
+"""Architecture-zoo tests: table↔hand-wired identity and name resolution.
 
 The identity suite is the zoo's load-bearing guarantee: for every one of
 the five Sec. V architectures, a table-built network must produce
@@ -20,12 +19,10 @@ from repro.electrical import (
     IdealNetwork,
     MultiButterflyNetwork,
 )
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import ConfigurationError
 from repro.netsim.stats import StatsSummary
 from repro.runner.spec import canonical_json
-from repro.topology import RotorTopology
 from repro.traffic import inject_open_loop, random_permutation, transpose
-from repro.zoo.rotor import RotorNetwork
 
 LEGACY = {
     "baldur": lambda n, seed: BaldurNetwork(
@@ -94,11 +91,18 @@ def test_registry_matches_legacy_fig7_scale(name):
     assert via_zoo == via_legacy
 
 
-def test_experiments_build_network_goes_through_registry():
+def test_experiments_build_network_goes_through_registry(monkeypatch):
     from repro.analysis.experiments import build_network
 
-    net = build_network("rotor", 16, seed=0)
-    assert isinstance(net, RotorNetwork)
+    calls = []
+
+    def probe(n_nodes, seed):
+        calls.append((n_nodes, seed))
+        return IdealNetwork(n_nodes)
+
+    monkeypatch.setitem(zoo.ARCHITECTURES, "probe", probe)
+    assert isinstance(build_network("probe", 16, seed=3), IdealNetwork)
+    assert calls == [(16, 3)]
 
 
 # -- the table ---------------------------------------------------------------------
@@ -107,7 +111,6 @@ def test_experiments_build_network_goes_through_registry():
 def test_registered_architectures():
     assert tuple(zoo.ARCHITECTURES) == (
         "baldur", "multibutterfly", "dragonfly", "fattree", "ideal",
-        "rotor",
     )
 
 
@@ -118,131 +121,18 @@ def test_every_builder_has_a_docstring():
 
 
 def test_builder_params_override():
-    net = zoo.build_network("rotor", 16, n_rotors=8)
-    assert isinstance(net, RotorNetwork)
-    assert net.n_rotors == 8
+    net = zoo.build_network("ideal", 16, latency_ns=50.0)
+    assert isinstance(net, IdealNetwork)
+    assert net.latency_ns == 50.0
 
 
 def test_non_string_name_rejected():
-    for name in (42, None, {"architecture": "rotor"}):
+    for name in (42, None, {"architecture": "ideal"}):
         with pytest.raises(ConfigurationError, match="unknown architecture"):
             zoo.build_network(name, 16)
 
 
 def test_unknown_architecture_lists_known_names():
-    with pytest.raises(ConfigurationError, match="baldur.*rotor"):
+    with pytest.raises(ConfigurationError, match="baldur.*multibutterfly"):
         zoo.build_network("torus", 16)
 
-
-# -- rotor topology --------------------------------------------------------------
-
-
-def test_rotor_matchings_cover_every_pair_once_per_cycle():
-    topo = RotorTopology(8, n_rotors=3)
-    seen = set()
-    for slot in range(topo.slots_per_cycle):
-        for rotor in range(topo.n_rotors):
-            m = topo.matching(rotor, slot)
-            assert sorted(m) == list(range(8))  # a permutation
-            for src, dst in enumerate(m):
-                if dst != src:
-                    assert (src, dst) not in seen
-                    seen.add((src, dst))
-    assert len(seen) == 8 * 7  # every ordered pair exactly once
-
-
-def test_rotor_slots_until_matched_agrees_with_matchings():
-    topo = RotorTopology(8, n_rotors=3)
-    for src in range(8):
-        for dst in range(8):
-            if src == dst:
-                continue
-            for start in range(topo.slots_per_cycle):
-                wait = topo.slots_until_matched(src, dst, start)
-                slot = start + wait
-                assert any(
-                    topo.matching(r, slot)[src] == dst
-                    for r in range(topo.n_rotors)
-                )
-
-
-def test_rotor_topology_validation():
-    with pytest.raises(TopologyError):
-        RotorTopology(1)
-    with pytest.raises(TopologyError):
-        RotorTopology(8, n_rotors=0)
-    topo = RotorTopology(4, n_rotors=16)  # clamped to n-1
-    assert topo.n_rotors == 3
-    with pytest.raises(TopologyError):
-        topo.matching(3, 0)
-    with pytest.raises(TopologyError):
-        topo.slots_until_matched(0, 0)
-
-
-# -- rotor network ---------------------------------------------------------------
-
-
-def test_rotor_delivers_everything_with_clean_audit():
-    net = zoo.build_network("rotor", 16, seed=0)
-    destinations = random_permutation(16, 3)
-    inject_open_loop(net, destinations, 0.5, 10, seed=3)
-    stats = net.run()  # run to completion: no horizon needed
-    assert stats.delivered == stats.injected == 160
-    assert stats.drops == 0
-    assert net.queued_packets == 0
-    net.audit()
-
-
-def test_rotor_is_deterministic():
-    def one_run():
-        net = zoo.build_network("rotor", 16, seed=0)
-        inject_open_loop(
-            net, random_permutation(16, 5), 0.7, 8, seed=5
-        )
-        return canonical_json(
-            StatsSummary.from_stats(net.run()).to_dict()
-        )
-
-    assert one_run() == one_run()
-
-
-def test_rotor_unloaded_latency_matches_simulation():
-    for dst in (1, 5, 15):
-        net = zoo.build_network("rotor", 16, seed=0)
-        packet = net.submit(0, dst, time=0.0)
-        net.run()
-        assert packet.latency == pytest.approx(
-            net.unloaded_latency_ns(0, dst), rel=1e-12
-        )
-
-
-def test_rotor_single_hop():
-    net = zoo.build_network("rotor", 16, seed=0)
-    packet = net.submit(3, 11, time=0.0)
-    net.run()
-    assert packet.hops == 1  # direct: exactly one rotor traversal
-
-
-def test_rotor_oversized_packet_rejected():
-    net = zoo.build_network("rotor", 16, seed=0, slot_ns=10.0)
-    net.submit(0, 1, time=0.0)
-    with pytest.raises(ConfigurationError, match="wire"):
-        net.run()
-
-
-def test_rotor_mid_slot_arrival_uses_current_matching():
-    # At t=0.5 the slot-0 matchings are live; offset-1 pairs go out
-    # immediately instead of waiting a full cycle.
-    net = zoo.build_network("rotor", 16, seed=0)
-    packet = net.submit(0, 1, time=0.5)
-    net.run()
-    assert packet.deliver_time < net.topology.slots_per_cycle * net.slot_ns
-
-
-def test_rotor_config_validation():
-    with pytest.raises(ConfigurationError):
-        RotorNetwork(16, slot_ns=0.0)
-    with pytest.raises(ConfigurationError):
-        RotorNetwork(16, reconfig_ns=-1.0)
-    with pytest.raises(ConfigurationError):
-        RotorNetwork(16, topology=RotorTopology(8))
