@@ -33,7 +33,12 @@ __all__ = ["VCBuffer", "OutputPort", "Switch", "Host"]
 
 
 class VCBuffer:
-    """Per-link input buffer with per-VC byte accounting and credit waiters."""
+    """Per-link input buffer with per-VC byte accounting and credit waiters.
+
+    ``_waiters`` is ``None`` until an upstream port first stalls on this
+    buffer's credit; :meth:`add_waiter` creates the list and
+    :meth:`release` hands it over and resets it to ``None``.
+    """
 
     __slots__ = ("capacity_per_vc", "n_vcs", "occupancy", "_waiters")
 
@@ -47,7 +52,7 @@ class VCBuffer:
         self.capacity_per_vc = capacity_bytes // n_vcs
         self.n_vcs = n_vcs
         self.occupancy = [0] * n_vcs
-        self._waiters: List["OutputPort"] = []
+        self._waiters: Optional[List["OutputPort"]] = None
 
     def has_room(self, vc: int, size: int) -> bool:
         """True if ``size`` bytes fit in virtual channel ``vc``."""
@@ -62,18 +67,28 @@ class VCBuffer:
         self.occupancy[vc] -= size
         if self.occupancy[vc] < 0:
             raise ConfigurationError("buffer released below zero")
-        waiters, self._waiters = self._waiters, []
-        for port in waiters:
-            port.try_start(time)
+        # A woken port that stalls again registers in a fresh list.
+        waiters, self._waiters = self._waiters, None
+        if waiters is not None:
+            for port in waiters:
+                port.try_start(time)
 
     def add_waiter(self, port: "OutputPort") -> None:
         """Register an upstream port stalled on this buffer's credit."""
-        if port not in self._waiters:
-            self._waiters.append(port)
+        waiters = self._waiters
+        if waiters is None:
+            self._waiters = [port]
+        elif port not in waiters:
+            waiters.append(port)
 
 
 class OutputPort:
-    """One switch (or host NIC) output link with a FIFO and a serializer."""
+    """One switch (or host NIC) output link with a FIFO and a serializer.
+
+    ``queue`` is ``None`` until the first :meth:`enqueue` creates the
+    FIFO: most ports of a large fabric never carry a packet, and an
+    empty ``deque`` costs 760 bytes.
+    """
 
     __slots__ = (
         "env",
@@ -103,9 +118,9 @@ class OutputPort:
         # a per-packet release closure: this queue is touched on every hop
         # of every electrical network, and closure allocation was
         # measurable there.
-        self.queue: Deque[
-            Tuple[Packet, Optional[Tuple[VCBuffer, int, int]]]
-        ] = deque()
+        self.queue: Optional[
+            Deque[Tuple[Packet, Optional[Tuple[VCBuffer, int, int]]]]
+        ] = None
         self.busy = False
         self.target_switch: Optional["Switch"] = None
         self.target_buffer: Optional[VCBuffer] = None
@@ -142,15 +157,19 @@ class OutputPort:
         ``(buffer, vc, size)`` triple (None for host NIC injections);
         it is released when the packet finishes serializing out.
         """
-        self.queue.append((packet, hold))
+        queue = self.queue
+        if queue is None:
+            queue = self.queue = deque()
+        queue.append((packet, hold))
         self.queued_bytes += packet.size_bytes
         self.try_start(time)
 
     def try_start(self, time: float) -> None:
         """Begin serializing the head packet if the port and credit allow."""
-        if self.busy or not self.queue:
+        queue = self.queue
+        if self.busy or not queue:
             return
-        packet, _hold = self.queue[0]
+        packet, _hold = queue[0]
         target_buffer = self.target_buffer
         if target_buffer is not None:
             if not target_buffer.has_room(packet.vc, packet.size_bytes):
@@ -159,7 +178,7 @@ class OutputPort:
                 target_buffer.add_waiter(self)
                 return
             target_buffer.reserve(packet.vc, packet.size_bytes)
-        self.queue.popleft()
+        queue.popleft()
         self.queued_bytes -= packet.size_bytes
         self.busy = True
         tx_time = packet.serialization_time_ns(self.rate_gbps)

@@ -14,14 +14,15 @@ paper's own disclosed anchors:
 2. *Quadratic radix scaling.*  ORION's crossbar and allocator power grow
    quadratically with radix at fixed per-port bandwidth.  With
    ``P_int(R) = K * R^2`` and anchor (1), ``K = 26.07 / 64 = 0.4074 W``.
-   This simultaneously reproduces, within ~15%:
+   This reproduces (paper values in parentheses; the two high-radix
+   growth factors fall short, EXPERIMENTS.md delta 4):
 
    * eMB at 1,024 nodes: 5 switches/node x 43.61 W + host NIC = 220 W/node
      (paper: 223.5 W) with 41% of it O-E/E-O + SerDes (paper: 41.7%);
    * the 1K->1M per-node power growth factors: eMB 2.0X (paper 2.0X),
-     fat-tree 7.9X (paper 9.0X), dragonfly 5.8X (paper 7.8X);
-   * the Fig. 8 ratio envelope (Baldur 3.2X-26.4X better at 1K,
-     14.6X-31.0X at 1M).
+     fat-tree 8.0X (paper 9.0X), dragonfly 5.6X (paper 7.8X);
+   * the Fig. 8 ratio envelope: Baldur 3.7X-29.8X better at 1K (paper
+     3.2X-26.4X), 12.8X-36.3X at 1M (paper 14.6X-31.0X).
 
 Link-class rules used by the rollups (per the Sec. VI-A methodology):
 

@@ -121,12 +121,44 @@ class TestVCBuffer:
         port = OutputPort(env, rate_gbps=25.0, link_delay_ns=10.0)
         sw = Switch(env, sid=0, latency_ns=1.0)
         port.connect_switch(sw, buf)
+        # Per-port state exists only once the port carries traffic.
+        assert port.queue is None  # never enqueued: no FIFO
+        buf.release(0, 0, time=0.0)
+        assert buf._waiters is None  # never stalled on: no waiter list
         buf.reserve(0, 600)  # buffer full
         p = Packet(0, 0, 1, size_bytes=512)
         port.enqueue(p, 0.0)
         assert not port.busy  # stalled on credit
+        assert buf._waiters == [port]
         buf.release(0, 600, time=0.0)
         assert port.busy  # started as soon as credit appeared
+        assert buf._waiters is None
+
+    def test_short_release_wakes_once_and_stalls_again(self):
+        env = Environment()
+        buf = VCBuffer(capacity_bytes=600, n_vcs=1)
+        sw = Switch(env, sid=0, latency_ns=1.0)
+        ports = [OutputPort(env, 25.0, 10.0) for _ in range(2)]
+        wakes = []
+        for i, port in enumerate(ports):
+            port.connect_switch(sw, buf)
+            # stall_hook fires on every wake that finds too little room.
+            port.stall_hook = lambda packet, i=i: wakes.append(i)
+        buf.reserve(0, 600)  # buffer full
+        for pid, port in enumerate(ports):
+            port.enqueue(Packet(pid, 0, 1, size_bytes=512), 0.0)
+        ports[0].try_start(0.0)  # a second stall registers nothing twice
+        assert buf._waiters == ports
+        wakes.clear()
+        buf.release(0, 100, time=0.0)  # 100 bytes free: still too little
+        assert wakes == [0, 1]  # each woken once
+        assert not any(port.busy for port in ports)
+        assert buf._waiters == ports  # each registered again, once
+        wakes.clear()
+        buf.release(0, 500, time=0.0)  # 600 free: room for one packet
+        assert wakes == [1]  # port 0 starts, port 1 stalls once more
+        assert ports[0].busy and not ports[1].busy
+        assert buf._waiters == [ports[1]]
 
 
 class TestOutputPortAndHost:

@@ -14,6 +14,7 @@ per-packet latency digest, same ``audit()`` ledger, same recorded
 paths -- to the instrumented ones on a contended cell.
 """
 
+import tracemalloc
 from heapq import heappush
 
 import pytest
@@ -33,6 +34,7 @@ from repro.traffic import (
     run_ping_pong,
     transpose,
 )
+from repro.zoo import build_network
 
 # Small but contended: random permutation at load 0.9 on 64 nodes
 # exercises arbitration ties, drops, retransmissions, and ACK traffic in
@@ -412,12 +414,15 @@ TestDrainedEqualsInstrumented.settings = settings(
 
 
 class TestCostGolden:
-    """Deterministic cost of one cell (ROADMAP 4(d), first slice).
+    """Deterministic cost of one cell on Baldur and on the electrical
+    multi-butterfly (ROADMAP 4(d) and 8(c), first slices).
 
     Event counts are exact and host-independent, so unlike wall time a
     change in them can block: they move only when the event model does.
     The peak counts *pending events* wherever they wait, so the numbers
     are the same with hops on the lane and with every push on the heap.
+    The electrical rows also pin how many ports ever allocate a FIFO,
+    and bound what building the fabric allocates per port.
     """
 
     EVENTS = 10_318
@@ -433,3 +438,46 @@ class TestCostGolden:
         assert profile.max_heap_depth == self.PEAK_PENDING
         assert stats.delivered == self.DELIVERED
         assert round(self.EVENTS / self.DELIVERED, 3) == 16.122
+
+    # The electrical multi-butterfly on the same cell (random permutation,
+    # load 0.9, 10 packets per node, seed 0).
+    MB_EVENTS = 13_440
+    MB_PEAK_PENDING = 827
+    MB_PORTS = 1_408
+    MB_PORTS_WITH_FIFO = 510
+
+    @staticmethod
+    def _mb_ports(net):
+        return [port for sw in net.switches for port in sw.ports] + [
+            host.nic for host in net.hosts
+        ]
+
+    def test_64_node_multibutterfly_cell_counts(self):
+        net = build_network("multibutterfly", 64, seed=0)
+        net.env.enable_profiling()
+        inject_open_loop(
+            net, pattern_destinations(CELL["pattern"], 64, 0),
+            CELL["load"], CELL["packets_per_node"], seed=0,
+        )
+        stats = net.run()
+        profile = net.env.profile
+        assert profile.events_dispatched == self.MB_EVENTS
+        assert profile.max_heap_depth == self.MB_PEAK_PENDING
+        assert stats.delivered == self.DELIVERED
+        ports = self._mb_ports(net)
+        assert len(ports) == self.MB_PORTS
+        # A port holds a FIFO only once a packet has been queued on it.
+        assert sum(port.queue is not None for port in ports) == (
+            self.MB_PORTS_WITH_FIFO
+        )
+
+    def test_multibutterfly_build_bytes_per_port(self):
+        """An idle port costs its slots and its buffer, not an empty FIFO
+        (a ``deque`` alone is 760 bytes)."""
+        tracemalloc.start()
+        try:
+            net = build_network("multibutterfly", 256, seed=0)
+            allocated, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert allocated / len(self._mb_ports(net)) <= 600

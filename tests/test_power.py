@@ -1,5 +1,7 @@
 """Tests for the power models against the paper's published anchors."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import constants as C
@@ -69,6 +71,25 @@ class TestMultiButterflyAnchor:
         assert growth == pytest.approx(
             C.POWER_GROWTH_1K_TO_1M["multibutterfly"], rel=0.05
         )
+
+
+class TestSec2AAsPrinted:
+    def test_experiments_prints_what_the_code_computes(self):
+        """EXPERIMENTS.md Sec. II-A, recomputed at its printed precision."""
+        emb = multibutterfly_power(1024)
+        ft_1k = fattree_power(1024).total
+        values = {
+            "220.1": f"{emb.total:.1f}",
+            "40.8": f"{100 * emb.oeo_serdes_fraction:.1f}",
+            "5.2": f"{emb.total / ft_1k:.1f}",
+            "4.05": f"{fattree_power(128_000).total / ft_1k:.2f}",
+        }
+        assert list(values) == list(values.values())
+        doc = (Path(__file__).parents[1] / "EXPERIMENTS.md").read_text(
+            encoding="utf-8"
+        )
+        section = doc.split("## Sec. II-A")[1].split("\n## ")[0]
+        assert all(printed in section for printed in values)
 
 
 class TestBaldurPower:
